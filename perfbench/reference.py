@@ -5,10 +5,9 @@
 Runs graded-cli with two page workers beside one, and the simplicial-qq
 inputs over QQ beside F101.  The configurations of a pair take turns round
 by round, so a slow spell on a shared machine hits both alike.  Prints each
-configuration's round time in wall-clock and in CPU seconds, its
-instance_median_s and first_page_median_s in CPU seconds (as run.py reports
-them), whether every answer checked, and each instance's median wall-clock
-time.  Two page workers can only show a gain in wall-clock time.
+configuration's round_s, instance_median_s and first_page_median_s in
+wall-clock seconds as run.py reports them, its round in process CPU seconds,
+whether every answer checked, and each instance's median wall-clock time.
 """
 
 import argparse
@@ -50,9 +49,9 @@ def main(argv=None):
         for label, runner, inputs in runners:
             correct = runner.check(inputs)
             m = run.end_to_end(runner, 0.0)
-            wall = {i: statistics.median(v) for i, v in runner.instance_wall_s.items()}
-            print(f"  {label:<10} round wall {sum(wall.values()):7.3f} s  "
-                  f"round_s {m['round_s'][0]:7.3f}  "
+            wall = {i: statistics.median(v) for i, v in runner.instance_s.items()}
+            cpu = sum(statistics.median(v) for v in runner.cpu_s.values())
+            print(f"  {label:<10} round_s {m['round_s'][0]:7.3f}  round CPU {cpu:7.3f}  "
                   f"instance_median_s {m['instance_median_s'][0]:6.3f}  "
                   f"first_page_median_s {m['first_page_median_s'][0]:6.3f}  correct {correct}")
             print("    wall: " + "  ".join(

@@ -5,9 +5,11 @@
 Run from the repository root; the program is imported from ./src.  The run
 sets up (imports, inputs made from the seed, a small warm-up) several times
 and keeps the median, then runs whole rounds of the workload's instances,
-one at a time, until --seconds have passed.  After timing, every answer is
-checked against the barcode oracle and the closed forms.  See
-perfbench/README.md for the workloads and the metrics.
+one at a time, until --seconds have passed.  Times are wall-clock seconds
+with the time the hypervisor gave the vCPUs to other machines (steal) taken
+out.  After timing, every answer is checked against the barcode oracle and
+the closed forms.  See perfbench/README.md for the workloads and the
+metrics.
 
 --trace 0 prints the end-to-end metrics.  --trace 1 alternates untraced and
 traced rounds and prints the per-layer metrics: one traced set-up plus the
@@ -44,8 +46,8 @@ def parse_args(argv):
 
 
 IMPORT_PROBE = (
-    "import time; t = time.process_time(); import specseq; "
-    "print(time.process_time() - t)"
+    "import time; t, c = time.perf_counter(), time.process_time(); import specseq; "
+    "print(time.perf_counter() - t, time.process_time() - c)"
 )
 
 
@@ -64,14 +66,43 @@ def import_program():
 
 
 def import_seconds():
-    """CPU time to import specseq in a fresh interpreter; an import happens
-    once per process, so it is repeated in child processes."""
+    """Time to import specseq in a fresh interpreter; an import happens once
+    per process, so it is repeated in child processes."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    stolen = stolen_seconds()
     done = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    return float(done.stdout)
+    stolen = stolen_seconds() - stolen
+    wall, cpu = (float(x) for x in done.stdout.split())
+    return wall * steal_free(cpu, stolen)
+
+
+_CLOCK_TICK = os.sysconf("SC_CLK_TCK") if hasattr(os, "sysconf") else 100
+
+
+def stolen_seconds():
+    """Seconds the hypervisor has given this machine's vCPUs to other
+    machines, summed over the vCPUs (the steal column of /proc/stat); 0 where
+    the file cannot be read, so that no time is taken out."""
+    try:
+        with open("/proc/stat", "rb") as stat:
+            fields = stat.readline().split()
+        return int(fields[8]) / _CLOCK_TICK
+    except (OSError, IndexError, ValueError):
+        return 0.0
+
+
+def steal_free(cpu, stolen):
+    """The share of a sample's wall time that remains when steal is taken out.
+
+    A vCPU accrues steal only while it has work, so on a machine where the
+    benchmark is the only busy process, the steal all fell on the vCPUs that
+    ran its threads: of their cpu + stolen busy seconds, cpu were the
+    program's.  A single thread then gets its CPU time back; two threads
+    working side by side keep their overlap."""
+    return cpu / (cpu + stolen) if stolen > 0 else 1.0
 
 
 class Runner:
@@ -84,18 +115,23 @@ class Runner:
         self.failed = 0
         self.problems = []
         self.records = {}  # instance index -> distinct compact records
-        self.instance_s = {}  # instance index -> its CPU times, one per round
-        self.instance_wall_s = {}
+        # instance index -> one value per round: wall time and time to the
+        # first page, both without steal; the steal seconds and the process
+        # CPU time during the instance
+        self.instance_s = {}
         self.first_page_s = {}
+        self.stolen_s = {}
+        self.cpu_s = {}
 
     def round(self, inputs, tracer=None):
-        """One round; returns its CPU time, the sum over its instances."""
+        """One round; returns its time, the sum over its instances."""
         gc.collect()
         total = 0.0
         clock = self.clock
         for index, spec in enumerate(inputs):
             self.attempted += 1
-            start_wall = time.perf_counter()
+            stolen = stolen_seconds()
+            cpu = time.process_time()
             start = clock()
             try:
                 if tracer is None:
@@ -107,17 +143,20 @@ class Runner:
                 print(f"{spec.name}: failed\n{traceback.format_exc()}", file=sys.stderr)
                 continue
             end = clock()
-            wall = time.perf_counter() - start_wall
-            total += end - start
+            cpu = time.process_time() - cpu
+            stolen = stolen_seconds() - stolen
+            share = steal_free(cpu, stolen)
+            total += (end - start) * share
             if tracer is not None:
                 self.workload.count(tracer, record)
             if self.workload.failed(record):
                 self.failed += 1
                 print(f"{spec.name}: the program reported failure", file=sys.stderr)
                 continue
-            self.instance_s.setdefault(index, []).append(end - start)
-            self.instance_wall_s.setdefault(index, []).append(wall)
-            self.first_page_s.setdefault(index, []).append(first - start)
+            self.instance_s.setdefault(index, []).append((end - start) * share)
+            self.first_page_s.setdefault(index, []).append((first - start) * share)
+            self.stolen_s.setdefault(index, []).append(stolen)
+            self.cpu_s.setdefault(index, []).append(cpu)
             problems, compact = self.workload.compact(spec, record)
             self.problems += problems
             seen = self.records.setdefault(index, [])
@@ -167,9 +206,9 @@ def timed_rounds(runner, inputs, seconds, tracer=None):
 
 
 def end_to_end(runner, setup_s):
-    """CPU seconds.  Each instance's time is its median over the run's
-    rounds, which keeps out the bursts of a shared machine; round_s adds
-    these up over a round."""
+    """Wall-clock seconds, steal taken out.  Each instance's time is its
+    median over the run's rounds, which keeps out the bursts of a shared
+    machine; round_s adds these up over a round."""
     instance = [statistics.median(v) for v in runner.instance_s.values()]
     first = [statistics.median(v) for v in runner.first_page_s.values()]
     return {
@@ -218,9 +257,11 @@ def main(argv=None):
         imports, setups = [], []
         for _ in range(SETUP_REPEATS):
             imports.append(import_seconds())
-            start = workloads.clock()
+            stolen, cpu, start = stolen_seconds(), time.process_time(), workloads.clock()
             inputs = set_up(workload, args.seed)
-            setups.append(workloads.clock() - start)
+            wall = workloads.clock() - start
+            share = steal_free(time.process_time() - cpu, stolen_seconds() - stolen)
+            setups.append(wall * share)
         setup_s = statistics.median(imports) + statistics.median(setups)
         rounds, _ = timed_rounds(runner, inputs, args.seconds)
         metrics = end_to_end(runner, setup_s)
@@ -231,14 +272,16 @@ def main(argv=None):
         print(f"check: {problem}", file=sys.stderr)
     raw.update(
         workload=args.workload, seed=args.seed, trace=args.trace,
-        instance_s=runner.instance_s, instance_wall_s=runner.instance_wall_s,
-        first_page_s=runner.first_page_s,
+        instance_s=runner.instance_s, first_page_s=runner.first_page_s,
+        stolen_s=runner.stolen_s, cpu_s=runner.cpu_s,
         problems=runner.problems,
     )
     _write(f"{args.workload}-seed{args.seed}-trace{args.trace}.json", raw)
 
+    stolen = sum(sum(v) for v in runner.stolen_s.values())
     print(f"workload {args.workload}  seed {args.seed}  instances per round {len(inputs)}  "
-          f"attempted {runner.attempted}  failed {runner.failed}  correct {correct}")
+          f"attempted {runner.attempted}  failed {runner.failed}  correct {correct}  "
+          f"steal during instances {stolen:.2f} s")
     for name, (value, unit) in metrics.items():
         print(f"  {name:<44} {value:>16.6f} {unit}")
     result = {

@@ -6,10 +6,10 @@ Each set runs every workload --runs times, each run with its own seed (the
 second set uses seeds the first did not).  For each workload and end-to-end
 metric it prints both sets' medians, the spread of each set (the distance
 between the first and third quartile as a share of the median), and whether
-the second median is within the metric's bound of the first.  setup_s is
-judged by its medians only.  It also checks that both sets fail the same
-share of operations.  Exits 1 when any check fails.  Results are written to
-perfbench/out/steady.json.
+the second median is within the metric's bound of the first, up or down.
+setup_s is judged by its medians only.  It also checks that both sets fail
+the same share of operations.  Exits 1 when any check fails.  Results are
+written to perfbench/out/steady.json.
 """
 
 import argparse
@@ -36,6 +36,18 @@ def run_once(spec, workload, seed, seconds):
 def spread(values):
     q1, _, q3 = statistics.quantiles(values, n=4)
     return (q3 - q1) / statistics.median(values)
+
+
+def judge(metric, first, second, bound):
+    """Both medians, their relative change, both spreads, and whether the
+    metric is steady: each spread within the bound (setup_s is judged by its
+    medians only) and the second median within the bound of the first, up
+    or down."""
+    m1, m2 = statistics.median(first), statistics.median(second)
+    s1, s2 = (spread(first), spread(second)) if len(first) >= 2 else (0.0, 0.0)
+    change = (m2 - m1) / m1
+    steady = metric == "setup_s" or max(s1, s2) <= bound
+    return m1, m2, change, s1, s2, steady and abs(change) <= bound
 
 
 def main(argv=None):
@@ -74,16 +86,12 @@ def main(argv=None):
               f"{'spread 1':>10}{'spread 2':>10}{'bound':>7}  verdict")
         for metric, bound in bounds.items():
             values = [[r["metrics"][metric]["value"] for r in runs] for runs in sets]
-            m1, m2 = (statistics.median(v) for v in values)
-            s1, s2 = (spread(v) for v in values) if args.runs >= 2 else (0.0, 0.0)
-            change = (m2 - m1) / m1
-            steady = metric == "setup_s" or max(s1, s2) <= bound
-            agree = change <= bound
-            verdict = "ok" if steady and agree else "NOT STEADY"
-            ok = ok and steady and agree
+            m1, m2, change, s1, s2, fine = judge(metric, *values, bound)
+            verdict = "ok" if fine else "NOT STEADY"
+            ok = ok and fine
             rows[metric] = {
                 "medians": [m1, m2], "spreads": [s1, s2], "bound": bound,
-                "values": values, "ok": steady and agree,
+                "values": values, "ok": fine,
             }
             print(f"  {metric:<22}{m1:>12.5f}{m2:>12.5f}{change:>+9.1%}"
                   f"{s1:>10.1%}{s2:>10.1%}{bound:>7.2f}  {verdict}")

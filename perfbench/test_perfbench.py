@@ -15,6 +15,8 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 import pytest  # noqa: E402
 
 from oracle import Barcode, Cell, page_mismatches, weighted_table  # noqa: E402
+import run  # noqa: E402
+import steady  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 from specseq import QQ, PrimeField, SpectralSequence, random_filtered_complex  # noqa: E402
@@ -128,3 +130,23 @@ def test_metric_names_match_benchmark_json():
     assert [m["name"] for m in spec["end_to_end"]] == [
         "setup_s", "round_s", "instance_median_s", "first_page_median_s", "peak_rss_mb"
     ]
+
+
+def test_steal_is_taken_out_of_wall_time():
+    assert run.steal_free(0.7, 0.0) == 1.0
+    # one thread busy for 1.0 s of CPU, 0.25 s stolen from its vCPU: 1.25 s
+    # of wall time, of which 1.0 s remains
+    assert 1.25 * run.steal_free(1.0, 0.25) == pytest.approx(1.0)
+    # two threads side by side for 1.0 s each, each vCPU losing 0.25 s: the
+    # overlap stays, 1.0 s of wall time remains
+    assert 1.25 * run.steal_free(2.0, 0.5) == pytest.approx(1.0)
+
+
+def test_steadiness_judges_changes_both_ways():
+    first = [1.0, 1.0, 1.0, 1.0]
+    assert steady.judge("round_s", first, [1.1] * 4, 0.25)[-1]
+    assert not steady.judge("round_s", first, [1.3] * 4, 0.25)[-1]
+    assert not steady.judge("round_s", first, [0.7] * 4, 0.25)[-1]
+    # setup_s is judged by its medians only
+    assert steady.judge("setup_s", [0.5, 1.0, 1.5, 1.0], first, 0.25)[-1]
+    assert not steady.judge("round_s", [0.5, 1.0, 1.5, 1.0], first, 0.25)[-1]

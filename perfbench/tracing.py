@@ -5,7 +5,7 @@ traced function by a wrapper in every specseq module that bound it (for
 example `spectral`, `randomized`, `filtration` and `cli` import names from
 `linalg` at import time), and on the class for methods; `uninstall` puts the
 originals back.  A span records its name, start, end, parent span and the
-cells (rows x columns) handed in, with times in process CPU seconds like
+cells (rows x columns) handed in, with times in wall-clock seconds like
 the end-to-end metrics.  Spans stay in memory until the run ends.
 
 A span's self time is its duration minus the durations of its child spans.
@@ -115,7 +115,7 @@ class Tracer:
         start, end, names, parent, cellv = self.start, self.end, self.name, self.parent, self.cells
         stack = self._stack
         owner = self._thread
-        clock = time.process_time
+        clock = time.perf_counter
         ident = threading.get_ident
 
         def wrapper(*args, **kwargs):

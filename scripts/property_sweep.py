@@ -14,18 +14,18 @@ import sys
 import time
 
 from specseq.complexes import homology_rank
-from specseq.fields import QQ, PrimeField
+from specseq.errors import ParseError
+from specseq.fields import QQ, parse_field_token
 from specseq.linalg import kernel, rank
 from specseq.randomized import random_filtered_complex
 from specseq.spectral import SpectralSequence
 
 
-def parse_field(token):
-    if token == "QQ":
-        return QQ
-    if token.startswith("F"):
-        return PrimeField(int(token[1:]))
-    raise argparse.ArgumentTypeError(f"unknown field {token!r}")
+def field_argument(token):
+    try:
+        return parse_field_token(token)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def check_instance(field, rng, top_degree, max_dim, max_width):
@@ -58,7 +58,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--field", type=parse_field, default=QQ,
+    parser.add_argument("--field", type=field_argument, default=QQ,
                         help="QQ or F<p> (default QQ)")
     parser.add_argument("--top-degree", type=int, default=3)
     parser.add_argument("--max-dim", type=int, default=6)

@@ -58,7 +58,7 @@ from .filtration import (
     tensor_filtration,
     truncation_filtration,
 )
-from .spectral import LimitReport, Page, PageMap, SpectralSequence, prune
+from .spectral import LimitReport, Page, PageMap, SpectralSequence
 from .graded import (
     GradedAlgebra,
     GradedComplex,

@@ -316,6 +316,8 @@ def render_complex(c):
 
 
 def parse_complex(lines, start=0):
+    if start >= len(lines):
+        raise ParseError("missing complex block", line=start + 1)
     head = lines[start].split()
     if len(head) != 4 or head[0] != "complex":
         raise ParseError(f"bad complex header {lines[start]!r}", line=start + 1)

@@ -291,6 +291,8 @@ def render_filtered(fc):
 def parse_filtered(lines, start=0):
     from .complexes import parse_complex
 
+    if start >= len(lines):
+        raise ParseError("missing filtered block", line=start + 1)
     head = lines[start].split()
     if len(head) != 3 or head[0] != "filtered":
         raise ParseError(f"bad filtered header {lines[start]!r}", line=start + 1)
@@ -307,6 +309,8 @@ def parse_filtered(lines, start=0):
             break
         if text.startswith("layer "):
             parts = text.split()
+            if len(parts) not in (3, 4):
+                raise ParseError(f"bad layer line {text!r}", line=i + 1)
             p, n = int(parts[1]), int(parts[2])
             if p < p_min or p > p_max:
                 raise ParseError(f"layer index {p} outside the window", line=i + 1)

@@ -5,10 +5,10 @@ on column vectors.  Subspaces are kept as reduced column echelon bases with
 strictly increasing pivot rows, which makes the representation canonical:
 two subspaces are equal exactly when their stored bases are identical.
 
-Elimination routes: prime fields go through a vectorized dense routine on
-int64 arrays (residue products stay far below 2^63), rationals use a dense
-pass below DENSE_COLUMN_LIMIT columns and a dict-based sparse pass above it,
-with pivots chosen by smallest bit size to damp coefficient growth.
+Elimination: prime fields go through a vectorized dense routine on int64
+arrays mod p (residue products stay far below 2^63); rationals go through one
+sparse pass over dict columns, with pivots chosen by smallest bit size to damp
+coefficient growth.
 """
 
 import numpy as np
@@ -22,7 +22,16 @@ from .errors import (
 )
 from .fields import FieldElement, PrimeField, parse_field_token
 
-DENSE_COLUMN_LIMIT = 64
+
+def _add_multiple(vec, f, col):
+    """vec += f * col in place, for sparse vectors held as {index: scalar}."""
+    for k, v in col.items():
+        cur = vec.get(k)
+        cur = cur + f * v if cur is not None else f * v
+        if cur:
+            vec[k] = cur
+        else:
+            vec.pop(k, None)
 
 
 class Matrix:
@@ -92,23 +101,11 @@ class Matrix:
     def apply(self, vec):
         """Image of a column vector given as a dict {row: scalar}."""
         out = {}
+        columns = self.column_dicts()
         for j, f in vec.items():
-            if not f:
-                continue
-            for i, v in self._column_index().get(j, ()):
-                cur = out.get(i)
-                cur = cur + f * v if cur is not None else f * v
-                if cur:
-                    out[i] = cur
-                else:
-                    out.pop(i, None)
+            if f:
+                _add_multiple(out, f, columns[j])
         return out
-
-    def _column_index(self):
-        index = {}
-        for (i, j), v in self.entries.items():
-            index.setdefault(j, []).append((i, v))
-        return index
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -117,19 +114,14 @@ class Matrix:
             raise MixedFields("matrix product across fields")
         if self.cols != other.rows:
             raise AmbientMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        index = self._column_index()
-        entries = {}
-        for (k, j), w in other.entries.items():
-            for i, v in index.get(k, ()):
-                key = (i, j)
-                cur = entries.get(key)
-                cur = cur + v * w if cur is not None else v * w
-                if cur:
-                    entries[key] = cur
-                else:
-                    entries.pop(key, None)
+        columns = self.column_dicts()
         out = Matrix(self.field, self.rows, other.cols)
-        out.entries = entries
+        for j, col in enumerate(other.column_dicts()):
+            prod = {}
+            for k, w in col.items():
+                _add_multiple(prod, w, columns[k])
+            for i, v in prod.items():
+                out.entries[(i, j)] = v
         return out
 
     def _same_shape(self, other):
@@ -142,16 +134,9 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other)
-        entries = dict(self.entries)
-        for key, v in other.entries.items():
-            cur = entries.get(key)
-            cur = cur + v if cur is not None else v
-            if cur:
-                entries[key] = cur
-            else:
-                entries.pop(key, None)
         out = Matrix(self.field, self.rows, self.cols)
-        out.entries = entries
+        out.entries = dict(self.entries)
+        _add_multiple(out.entries, self.field.one, other.entries)
         return out
 
     def __sub__(self, other):
@@ -357,7 +342,7 @@ def _np_residuals(B, pivots, V, p):
     return (V - _np_matmul(B, coords, p)) % p
 
 
-def _py_rcef(field, columns, scan_rows, rational_pivots):
+def _py_rcef(columns, scan_rows):
     cols = [dict(c) for c in columns]
     pivots = []
     r = 0
@@ -367,10 +352,7 @@ def _py_rcef(field, columns, scan_rows, rational_pivots):
         cands = [j for j in range(r, len(cols)) if row in cols[j]]
         if not cands:
             continue
-        if rational_pivots and len(cands) > 1:
-            j = min(cands, key=lambda jj: _bits(cols[jj][row]))
-        else:
-            j = cands[0]
+        j = min(cands, key=lambda jj: _bits(cols[jj][row]))
         cols[r], cols[j] = cols[j], cols[r]
         piv = cols[r]
         pv = piv[row]
@@ -383,72 +365,21 @@ def _py_rcef(field, columns, scan_rows, rational_pivots):
                 continue
             other = cols[j2]
             f = other.get(row)
-            if f is None:
-                continue
-            for k, v in piv.items():
-                cur = other.get(k)
-                cur = cur - f * v if cur is not None else -(f * v)
-                if cur:
-                    other[k] = cur
-                else:
-                    other.pop(k, None)
+            if f is not None:
+                _add_multiple(other, -f, piv)
         pivots.append(row)
         r += 1
     return cols, pivots
 
 
-def _py_rcef_dense(field, columns, nrows, scan_rows, rational_pivots):
-    zero = field.zero
-    cols = []
-    for col in columns:
-        dense = [zero] * nrows
-        for i, v in col.items():
-            dense[i] = v
-        cols.append(dense)
-    pivots = []
-    r = 0
-    for row in range(scan_rows):
-        if r == len(cols):
-            break
-        cands = [j for j in range(r, len(cols)) if cols[j][row]]
-        if not cands:
-            continue
-        if rational_pivots and len(cands) > 1:
-            j = min(cands, key=lambda jj: _bits(cols[jj][row]))
-        else:
-            j = cands[0]
-        cols[r], cols[j] = cols[j], cols[r]
-        piv = cols[r]
-        pv = piv[row]
-        if pv.value != 1:
-            inv = pv.inverse()
-            piv = cols[r] = [x * inv if x else x for x in piv]
-        for j2 in range(len(cols)):
-            if j2 == r:
-                continue
-            other = cols[j2]
-            f = other[row]
-            if not f:
-                continue
-            cols[j2] = [a - f * b if b else a for a, b in zip(other, piv)]
-        pivots.append(row)
-        r += 1
-    sparse = [{i: v for i, v in enumerate(col) if v} for col in cols]
-    return sparse, pivots
-
-
-def _rcef_columns(field, columns, nrows, scan_rows=None):
+def _rcef_columns(field, columns, nrows):
     """Canonical reduced column echelon.  Returns (pivot columns, pivots)."""
-    scan = nrows if scan_rows is None else scan_rows
     if isinstance(field, PrimeField):
         p = field.characteristic
         A = _np_from_cols(columns, nrows, p)
-        E, pivots = _np_rcef(A, p, scan_rows=scan)
+        E, pivots = _np_rcef(A, p)
         return _np_to_cols(field, E, len(pivots)), pivots
-    if len(columns) <= DENSE_COLUMN_LIMIT:
-        cols, pivots = _py_rcef_dense(field, columns, nrows, scan, True)
-    else:
-        cols, pivots = _py_rcef(field, columns, scan, True)
+    cols, pivots = _py_rcef(columns, nrows)
     return cols[: len(pivots)], pivots
 
 
@@ -469,10 +400,7 @@ def _kernel_columns(field, columns, nrows):
         ext = dict(col)
         ext[nrows + j] = one
         stacked.append(ext)
-    if ncols <= DENSE_COLUMN_LIMIT:
-        cols, pivots = _py_rcef_dense(field, stacked, nrows + ncols, nrows, True)
-    else:
-        cols, pivots = _py_rcef(field, stacked, nrows, True)
+    cols, pivots = _py_rcef(stacked, nrows)
     raw = [
         {i - nrows: v for i, v in col.items() if i >= nrows}
         for col in cols[len(pivots):]
@@ -556,13 +484,7 @@ class Subspace:
                 coords.append(self.field.zero)
                 continue
             coords.append(f)
-            for k, v in col.items():
-                cur = vec.get(k)
-                cur = cur - f * v if cur is not None else -(f * v)
-                if cur:
-                    vec[k] = cur
-                else:
-                    vec.pop(k, None)
+            _add_multiple(vec, -f, col)
         return coords, vec
 
     def contains_vector(self, vec):
@@ -637,15 +559,8 @@ def intersect(a, b):
     for col in kern:
         vec = {}
         for j, f in col.items():
-            if j >= len(acols):
-                continue
-            for i, v in acols[j].items():
-                cur = vec.get(i)
-                cur = cur + f * v if cur is not None else f * v
-                if cur:
-                    vec[i] = cur
-                else:
-                    vec.pop(i, None)
+            if j < len(acols):
+                _add_multiple(vec, f, acols[j])
         if vec:
             vectors.append(vec)
     return Subspace.spanned_by_columns(a.field, a.ambient_dim, vectors)

@@ -37,14 +37,13 @@ from .linalg import (
 class Page:
     """Snapshot of one page over the filtration window."""
 
-    __slots__ = ("r", "source", "entries", "stable", "pruned")
+    __slots__ = ("r", "source", "entries", "stable")
 
-    def __init__(self, r, source, entries, stable=False, pruned=False):
+    def __init__(self, r, source, entries, stable=False):
         self.r = r
         self.source = source
         self.entries = entries
         self.stable = stable
-        self.pruned = pruned
 
     def entry(self, p, q):
         pres = self.entries.get((p, q))
@@ -69,17 +68,8 @@ class Page:
         return f"<Page r={self.r}{flag} [{cells}]>"
 
 
-def prune(page):
-    """Re-present entries on standard class bases; the quotient presentations
-    already carry canonical representatives, so this marks the page and is
-    idempotent."""
-    if page.pruned:
-        return page
-    return Page(page.r, page.source, page.entries, stable=page.stable, pruned=True)
-
-
 class PageMap:
-    """All differentials of one page, in pruned class bases."""
+    """All differentials of one page, in the entries' class bases."""
 
     __slots__ = ("r", "source", "matrices")
 

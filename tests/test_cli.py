@@ -162,6 +162,28 @@ def test_build_error_exits_two():
         cli.run(text, out=io.StringIO())
 
 
+ONE_TERM_COMPLEX = "complex QQ 0 0\nterm 0 : a\nend-complex\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "build tensor\n" + ONE_TERM_COMPLEX,
+        "build filtered\n",
+        "build filtered\nfiltered 0 0\n" + ONE_TERM_COMPLEX + "layer 0\nend-filtered\n",
+        "build truncation\n",
+    ],
+    ids=["tensor-without-filtered", "empty-filtered", "layer-without-kind", "empty-truncation"],
+)
+def test_truncated_blocks_are_parse_errors(body, tmp_path, capsys):
+    path = tmp_path / "bad.scn"
+    path.write_text(body + "end-build\nqueries\npage 1\nend-queries\n")
+    assert cli.main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line ")
+    assert "Traceback" not in err
+
+
 def test_non_nested_simplicial_build_exits_two(capsys):
     # neither complex contains the other
     text = (

@@ -287,6 +287,24 @@ def test_prime_and_rational_engines_agree():
         assert lifted == ep
 
 
+@pytest.mark.parametrize(
+    "rows, cols, density", [(30, 20, 0.08), (40, 90, 0.08), (100, 90, 0.03)]
+)
+def test_rational_engine_matches_sympy(rows, cols, density):
+    # column counts on both sides of 64, the cutoff of a former dense rational route
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(rows * 1000 + cols)
+    m = rand_matrix(QQ, rng, rows, cols, density=density)
+    ref = sympy.Matrix(rows, cols, lambda i, j: m.entry(i, j).value)
+    ref_rcef, ref_pivots = ref.T.rref()
+    ech, r = echelonize(m)
+    assert r == len(ref_pivots) == rank(m)
+    assert [
+        [ech.entry(i, j).value for j in range(cols)] for i in range(rows)
+    ] == [[Fraction(int(x.p), int(x.q)) for x in row] for row in ref_rcef.T.tolist()]
+    assert kernel(m).dim == cols - r
+
+
 def test_chunked_products_at_the_largest_modulus():
     # entries near p - 1 with p just under 2^31 overflow a naive int64 product
     p = 2147483647

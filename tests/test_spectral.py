@@ -17,7 +17,7 @@ from specseq.linalg import (
 )
 from specseq.randomized import random_filtered_complex
 from specseq.simplicial import SimplicialComplex
-from specseq.spectral import SpectralSequence, prune
+from specseq.spectral import SpectralSequence
 
 F101 = PrimeField(101)
 
@@ -84,16 +84,6 @@ def test_pages_stabilize_at_r_star():
     assert stable.stable and later.stable
     for pos in stable.positions():
         assert stable.entry(*pos).dim == later.entry(*pos).dim
-
-
-def test_prune_is_presentational():
-    ss = SpectralSequence(nested_filtration())
-    page = ss.page(2)
-    tidy = prune(page)
-    assert tidy.pruned
-    assert tidy.dims() == page.dims()
-    again = prune(tidy)
-    assert again.dims() == tidy.dims()
 
 
 def test_page_map_matches_pointwise_differentials():

@@ -337,10 +337,16 @@ def parse_complex(lines, start=0):
             parts = headpart.split()
             if len(parts) != 2:
                 raise ParseError(f"bad term line {text!r}", line=i + 1)
-            labels[int(parts[1])] = tuple(labpart.split())
+            try:
+                labels[int(parts[1])] = tuple(labpart.split())
+            except ValueError:
+                raise ParseError(f"bad term line {text!r}", line=i + 1) from None
             i += 1
         elif text.startswith("diff "):
-            n = int(text.split()[1])
+            try:
+                n = int(text.split()[1])
+            except ValueError:
+                raise ParseError(f"bad diff line {text!r}", line=i + 1) from None
             m, i = parse_matrix_machine(lines, i + 1)
             if m.field != field:
                 raise ParseError(f"differential {n} over the wrong field", line=i)

@@ -16,6 +16,7 @@ lowest terms, positive denominator); prime field elements are residues in
 
 import re
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DivisionByZero, MixedFields, ParseError
 
@@ -143,11 +144,11 @@ class Field:
             return value
         return FieldElement(self, value)
 
-    @property
+    @cached_property
     def zero(self):
         return self.element(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.element(1)
 

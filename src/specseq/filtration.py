@@ -296,7 +296,10 @@ def parse_filtered(lines, start=0):
     head = lines[start].split()
     if len(head) != 3 or head[0] != "filtered":
         raise ParseError(f"bad filtered header {lines[start]!r}", line=start + 1)
-    p_min, p_max = int(head[1]), int(head[2])
+    try:
+        p_min, p_max = int(head[1]), int(head[2])
+    except ValueError:
+        raise ParseError(f"bad filtered header {lines[start]!r}", line=start + 1) from None
     ambient, i = parse_complex(lines, start + 1)
     field = ambient.field
     layers = {p: {} for p in range(p_min, p_max + 1)}
@@ -311,7 +314,10 @@ def parse_filtered(lines, start=0):
             parts = text.split()
             if len(parts) not in (3, 4):
                 raise ParseError(f"bad layer line {text!r}", line=i + 1)
-            p, n = int(parts[1]), int(parts[2])
+            try:
+                p, n = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(f"bad layer line {text!r}", line=i + 1) from None
             if p < p_min or p > p_max:
                 raise ParseError(f"layer index {p} outside the window", line=i + 1)
             if len(parts) == 4 and parts[3] == "full":

@@ -5,13 +5,12 @@ on column vectors.  Subspaces are kept as reduced column echelon bases with
 strictly increasing pivot rows, which makes the representation canonical:
 two subspaces are equal exactly when their stored bases are identical.
 
-Elimination: prime fields go through a vectorized dense routine on int64
-arrays mod p (residue products stay far below 2^63); rationals go through one
-sparse pass over dict columns, with pivots chosen by smallest bit size to damp
-coefficient growth.
+Elimination: both fields go through one sparse pass over dict columns of raw
+scalars, unwrapped from FieldElement on the way in and wrapped again only for
+the columns returned.  Over QQ the scalars are Fractions and the pivot has the
+smallest bit size, to damp coefficient growth; over F_p they are int residues,
+the first candidate is the pivot and every update is reduced mod p.
 """
-
-import numpy as np
 
 from .errors import (
     AmbientMismatch,
@@ -20,14 +19,19 @@ from .errors import (
     NotWellDefined,
     ParseError,
 )
-from .fields import FieldElement, PrimeField, parse_field_token
+from .fields import FieldElement, parse_field_token
 
 
-def _add_multiple(vec, f, col):
-    """vec += f * col in place, for sparse vectors held as {index: scalar}."""
+def _add_multiple(vec, f, col, p=0):
+    """vec += f * col in place, for sparse vectors held as {index: scalar}.
+
+    p > 0 reduces every updated entry mod p; p == 0 is exact arithmetic.
+    """
     for k, v in col.items():
         cur = vec.get(k)
         cur = cur + f * v if cur is not None else f * v
+        if p:
+            cur %= p
         if cur:
             vec[k] = cur
         else:
@@ -258,92 +262,21 @@ def parse_matrix_machine(lines, start=0):
 
 
 # ---------------------------------------------------------------------------
-# elimination engines
+# elimination engine
 
 
-def _bits(element):
-    v = element.value
-    return v.numerator.bit_length() + v.denominator.bit_length()
+def _bits(value):
+    return value.numerator.bit_length() + value.denominator.bit_length()
 
 
-def _np_from_cols(columns, rows, p):
-    A = np.zeros((rows, len(columns)), dtype=np.int64)
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            A[i, j] = v.value % p
-    return A
+def _py_rcef(cols, scan_rows, p):
+    """Reduced column echelon form of sparse columns of raw scalars.
 
-
-def _np_rcef(A, p, scan_rows=None):
-    A = A % p
-    nrows, ncols = A.shape
-    scan = nrows if scan_rows is None else scan_rows
-    pivots = []
-    r = 0
-    for row in range(scan):
-        if r == ncols:
-            break
-        nz = np.nonzero(A[row, r:])[0]
-        if nz.size == 0:
-            continue
-        j = r + int(nz[0])
-        if j != r:
-            A[:, [r, j]] = A[:, [j, r]]
-        inv = pow(int(A[row, r]), p - 2, p)
-        if inv != 1:
-            A[:, r] = A[:, r] * inv % p
-        coeffs = A[row].copy()
-        coeffs[r] = 0
-        if np.any(coeffs):
-            A = (A - np.outer(A[:, r], coeffs)) % p
-        pivots.append(row)
-        r += 1
-    return A, pivots
-
-
-def _np_to_cols(field, A, count):
-    columns = []
-    for j in range(count):
-        nz = np.nonzero(A[:, j])[0]
-        columns.append({int(i): field.element(int(A[i, j])) for i in nz})
-    return columns
-
-
-def _np_from_matrix(m, p):
-    A = np.zeros((m.rows, m.cols), dtype=np.int64)
-    for (i, j), v in m.entries.items():
-        A[i, j] = v.value % p
-    return A
-
-
-def _np_matmul(A, B, p):
-    """A @ B mod p, chunked so int64 accumulators cannot overflow."""
-    inner = A.shape[1]
-    if inner == 0 or B.shape[1] == 0:
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    step = max(1, (1 << 62) // ((p - 1) ** 2))
-    if inner <= step:
-        return (A @ B) % p
-    acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for s in range(0, inner, step):
-        acc = (acc + A[:, s : s + step] @ B[s : s + step, :]) % p
-    return acc
-
-
-def _np_residuals(B, pivots, V, p):
-    """Columns of V reduced modulo an RCEF basis B with the given pivot rows.
-
-    Because pivot rows of B form an identity block, the readoff is a single
-    slice, not a sequential elimination.
+    p == 0 means QQ, with Fraction entries and pivots of smallest bit size;
+    p > 0 means F_p, with int residues and the first candidate as pivot.
+    Only rows below scan_rows are eliminated.  Works in place on the list of
+    dicts it is given and returns it with the pivot rows, pivot columns first.
     """
-    if B.shape[1] == 0 or V.shape[1] == 0:
-        return V % p
-    coords = V[list(pivots), :] % p
-    return (V - _np_matmul(B, coords, p)) % p
-
-
-def _py_rcef(columns, scan_rows):
-    cols = [dict(c) for c in columns]
     pivots = []
     r = 0
     for row in range(scan_rows):
@@ -352,60 +285,54 @@ def _py_rcef(columns, scan_rows):
         cands = [j for j in range(r, len(cols)) if row in cols[j]]
         if not cands:
             continue
-        j = min(cands, key=lambda jj: _bits(cols[jj][row]))
+        j = cands[0] if p else min(cands, key=lambda jj: _bits(cols[jj][row]))
         cols[r], cols[j] = cols[j], cols[r]
         piv = cols[r]
         pv = piv[row]
-        if pv.value != 1:
-            inv = pv.inverse()
-            for k in list(piv):
-                piv[k] = piv[k] * inv
+        if pv != 1:
+            inv = pow(pv, p - 2, p) if p else 1 / pv
+            for k, v in piv.items():
+                piv[k] = v * inv % p if p else v * inv
         for j2 in range(len(cols)):
             if j2 == r:
                 continue
             other = cols[j2]
             f = other.get(row)
             if f is not None:
-                _add_multiple(other, -f, piv)
+                _add_multiple(other, -f, piv, p)
         pivots.append(row)
         r += 1
     return cols, pivots
 
 
+def _raw(columns):
+    return [{i: v.value for i, v in col.items()} for col in columns]
+
+
+def _elements(field, columns):
+    return [{i: FieldElement(field, v) for i, v in col.items()} for col in columns]
+
+
 def _rcef_columns(field, columns, nrows):
     """Canonical reduced column echelon.  Returns (pivot columns, pivots)."""
-    if isinstance(field, PrimeField):
-        p = field.characteristic
-        A = _np_from_cols(columns, nrows, p)
-        E, pivots = _np_rcef(A, p)
-        return _np_to_cols(field, E, len(pivots)), pivots
-    cols, pivots = _py_rcef(columns, nrows)
-    return cols[: len(pivots)], pivots
+    cols, pivots = _py_rcef(_raw(columns), nrows, field.characteristic)
+    return _elements(field, cols[: len(pivots)]), pivots
 
 
 def _kernel_columns(field, columns, nrows):
     """Canonical basis for the kernel of the map sending e_j to columns[j]."""
-    ncols = len(columns)
-    if isinstance(field, PrimeField):
-        p = field.characteristic
-        A = _np_from_cols(columns, nrows, p)
-        B = np.vstack([A, np.eye(ncols, dtype=np.int64)])
-        E, pivots = _np_rcef(B, p, scan_rows=nrows)
-        K = E[nrows:, len(pivots):]
-        KE, kp = _np_rcef(K, p)
-        return _np_to_cols(field, KE, len(kp)), kp
-    one = field.one
-    stacked = []
-    for j, col in enumerate(columns):
-        ext = dict(col)
-        ext[nrows + j] = one
-        stacked.append(ext)
-    cols, pivots = _py_rcef(stacked, nrows)
+    p = field.characteristic
+    one = field.one.value
+    stacked = _raw(columns)
+    for j, col in enumerate(stacked):
+        col[nrows + j] = one
+    cols, pivots = _py_rcef(stacked, nrows, p)
     raw = [
         {i - nrows: v for i, v in col.items() if i >= nrows}
         for col in cols[len(pivots):]
     ]
-    return _rcef_columns(field, raw, ncols)
+    kcols, kpivots = _py_rcef(raw, len(columns), p)
+    return _elements(field, kcols[: len(kpivots)]), kpivots
 
 
 # ---------------------------------------------------------------------------
@@ -637,18 +564,6 @@ def quotient(v, w):
     _check_pair(v, w)
     if w.is_zero:
         return QuotientPresentation(v, w, v.basis_columns, v.pivots)
-    if v.field.kind == "prime" and v.ambient_dim:
-        p = v.field.characteristic
-        B = _np_from_cols(w.basis_columns, w.ambient_dim, p)
-        V = _np_from_cols(v.basis_columns, v.ambient_dim, p)
-        if np.any(_np_residuals(V, v.pivots, B, p)):
-            raise NotASubspace("denominator not contained in numerator")
-        R = _np_residuals(B, w.pivots, V, p)
-        E, piv = _np_rcef(R, p)
-        if len(piv) != v.dim - w.dim:
-            raise NotASubspace("inconsistent quotient dimensions")
-        reps = _np_to_cols(v.field, E, len(piv))
-        return QuotientPresentation(v, w, reps, tuple(piv))
     if not v.contains(w):
         raise NotASubspace("denominator not contained in numerator")
     residuals = []
@@ -668,8 +583,6 @@ def induced_map(m, src, tgt):
         raise MixedFields("induced map across fields")
     if m.cols != src.ambient_dim or m.rows != tgt.ambient_dim:
         raise AmbientMismatch("induced map shape mismatch")
-    if m.field.kind == "prime":
-        return _np_induced_map(m, src, tgt)
     for col in src.relations.basis_columns:
         if not tgt.relations.contains_vector(m.apply(col)):
             raise NotWellDefined("relations are not carried into relations")
@@ -686,36 +599,6 @@ def induced_map(m, src, tgt):
     return Matrix(m.field, tgt.dim, src.dim, entries)
 
 
-def _np_induced_map(m, src, tgt):
-    p = m.field.characteristic
-    M = _np_from_matrix(m, p)
-    trel = tgt.relations
-    B_t = _np_from_cols(trel.basis_columns, trel.ambient_dim, p)
-    if src.relations.dim:
-        B_s = _np_from_cols(
-            src.relations.basis_columns, src.relations.ambient_dim, p
-        )
-        Y = _np_residuals(B_t, trel.pivots, _np_matmul(M, B_s, p), p)
-        if np.any(Y):
-            raise NotWellDefined("relations are not carried into relations")
-    if src.dim == 0:
-        return Matrix.zeros(m.field, tgt.dim, 0)
-    R = _np_from_cols(src.rep_columns, src.ambient_dim, p)
-    Y = _np_residuals(B_t, trel.pivots, _np_matmul(M, R, p), p)
-    if tgt.dim:
-        T = _np_from_cols(tgt.rep_columns, tgt.ambient_dim, p)
-        coords = Y[list(tgt.rep_pivots), :] % p
-        Y = (Y - _np_matmul(T, coords, p)) % p
-    else:
-        coords = np.zeros((0, src.dim), dtype=np.int64)
-    if np.any(Y):
-        raise NotWellDefined("image leaves the target subquotient")
-    entries = {}
-    for i, j in zip(*np.nonzero(coords)):
-        entries[(int(i), int(j))] = m.field.element(int(coords[i, j]))
-    return Matrix(m.field, tgt.dim, src.dim, entries)
-
-
 def apply_to_subspace(m, sub):
     """The image of a subspace of the source of m, as a subspace of its target."""
     if m.cols != sub.ambient_dim:
@@ -724,12 +607,5 @@ def apply_to_subspace(m, sub):
         raise MixedFields("matrix and subspace over different fields")
     if sub.is_zero or m.is_zero:
         return Subspace.zero(m.field, m.rows)
-    if m.field.kind == "prime":
-        p = m.field.characteristic
-        M = _np_from_matrix(m, p)
-        S = _np_from_cols(sub.basis_columns, sub.ambient_dim, p)
-        E, piv = _np_rcef(_np_matmul(M, S, p), p)
-        cols = _np_to_cols(m.field, E, len(piv))
-        return Subspace(m.field, m.rows, tuple(cols), tuple(piv))
     cols = [m.apply(c) for c in sub.basis_columns]
     return Subspace.spanned_by_columns(m.field, m.rows, cols)

@@ -172,8 +172,22 @@ ONE_TERM_COMPLEX = "complex QQ 0 0\nterm 0 : a\nend-complex\n"
         "build filtered\n",
         "build filtered\nfiltered 0 0\n" + ONE_TERM_COMPLEX + "layer 0\nend-filtered\n",
         "build truncation\n",
+        "build filtered\nfiltered a 0\n" + ONE_TERM_COMPLEX + "end-filtered\n",
+        "build filtered\nfiltered 0 0\n" + ONE_TERM_COMPLEX + "layer x 0 full\nend-filtered\n",
+        "build truncation\ncomplex QQ 0 0\nterm x : a\nend-complex\n",
+        "build truncation\ncomplex QQ 0 1\nterm 0 : a\nterm 1 : b\ndiff z\n"
+        "1 1 QQ\nend\nend-complex\n",
     ],
-    ids=["tensor-without-filtered", "empty-filtered", "layer-without-kind", "empty-truncation"],
+    ids=[
+        "tensor-without-filtered",
+        "empty-filtered",
+        "layer-without-kind",
+        "empty-truncation",
+        "non-integer-filtered-window",
+        "non-integer-layer-index",
+        "non-integer-term-degree",
+        "non-integer-diff-degree",
+    ],
 )
 def test_truncated_blocks_are_parse_errors(body, tmp_path, capsys):
     path = tmp_path / "bad.scn"
@@ -264,3 +278,18 @@ def test_main_subprocess_paths():
         capture_output=True,
     )
     assert bad_threads.returncode == 2
+    # the engine is pure Python; a stray numpy import would show up here
+    no_numpy = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys\n"
+            "from specseq import cli\n"
+            "code = cli.main([sys.argv[1], '--field', 'F101'])\n"
+            "assert 'numpy' not in sys.modules\n"
+            "sys.exit(code)\n",
+            str(SCENARIOS / "graded_cancellation.scn"),
+        ],
+        capture_output=True,
+    )
+    assert no_numpy.returncode == 0, no_numpy.stderr.decode()

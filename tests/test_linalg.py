@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specseq.errors import AmbientMismatch, NotASubspace, NotWellDefined
-from specseq.fields import QQ, PrimeField
+from specseq.fields import QQ, PrimeField, parse_field_token
 from specseq.linalg import (
     Matrix,
     Subspace,
@@ -290,23 +290,40 @@ def test_prime_and_rational_engines_agree():
 @pytest.mark.parametrize(
     "rows, cols, density", [(30, 20, 0.08), (40, 90, 0.08), (100, 90, 0.03)]
 )
-def test_rational_engine_matches_sympy(rows, cols, density):
-    # column counts on both sides of 64, the cutoff of a former dense rational route
-    sympy = pytest.importorskip("sympy")
+@pytest.mark.parametrize("token", ["QQ", "F2", "F2147483647"])
+def test_engine_matches_sympy(token, rows, cols, density):
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy import QQ as SQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    field = parse_field_token(token)
+    p = field.characteristic
     rng = random.Random(rows * 1000 + cols)
-    m = rand_matrix(QQ, rng, rows, cols, density=density)
-    ref = sympy.Matrix(rows, cols, lambda i, j: m.entry(i, j).value)
-    ref_rcef, ref_pivots = ref.T.rref()
+    m = rand_matrix(field, rng, rows, cols, density=density)
+    ref = DomainMatrix.from_list(
+        [[m.entry(i, j).value for j in range(cols)] for i in range(rows)],
+        GF(p) if p else SQQ,
+    )
+    # reduced column echelon form is the transposed reduced row echelon form
+    ref_rref, ref_pivots = ref.transpose().rref()
     ech, r = echelonize(m)
     assert r == len(ref_pivots) == rank(m)
-    assert [
-        [ech.entry(i, j).value for j in range(cols)] for i in range(rows)
-    ] == [[Fraction(int(x.p), int(x.q)) for x in row] for row in ref_rcef.T.tolist()]
+    if p:
+        # sympy prints residues as symmetric representatives
+        expected = [[int(x) % p for x in row] for row in ref_rref.transpose().to_list()]
+    else:
+        expected = [
+            [Fraction(int(x.numerator), int(x.denominator)) for x in row]
+            for row in ref_rref.transpose().to_list()
+        ]
+    assert [[ech.entry(i, j).value for j in range(cols)] for i in range(rows)] == expected
     assert kernel(m).dim == cols - r
 
 
 def test_chunked_products_at_the_largest_modulus():
-    # entries near p - 1 with p just under 2^31 overflow a naive int64 product
+    # entries near p - 1 with p just under 2^31: residue products near 2^62
+    # must be reduced mod p after every update of the sparse engine
     p = 2147483647
     f = PrimeField(p)
     rng = random.Random(71)

@@ -1,0 +1,125 @@
+"""Print one sha256 over a fixed set of exact results, to compare two versions.
+
+Usage: python3 scripts/canonical_dump.py
+
+The hash covers:
+  - the stdout and exit code of every bundled scenario, with its own field,
+    with --field QQ and with --field F101, each with and without --machine;
+  - every page entry (representatives, pivots, relations), page map and
+    limit row of seeded random filtrations, 25 each over QQ, F2, F101 and
+    F2147483647;
+  - echelon forms, kernels, images, intersections, preimages and quotient
+    coordinates of seeded random matrices over the same fields.
+
+Two versions that print the same hash computed the same bytes for all of
+it, so a change meant to leave the answers alone can be checked in one run.
+"""
+
+import hashlib
+import io
+import pathlib
+import random
+import sys
+
+from specseq import cli
+from specseq.fields import parse_field_token
+from specseq.linalg import (
+    Matrix,
+    echelonize,
+    image,
+    intersect,
+    kernel,
+    preimage,
+    quotient,
+    render_matrix_machine,
+)
+from specseq.randomized import random_filtered_complex
+from specseq.spectral import SpectralSequence
+
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+FIELDS = ("QQ", "F2", "F101", "F2147483647")
+
+
+def render_column(field, col):
+    return " ".join(f"{i}:{field.render(col[i])}" for i in sorted(col))
+
+
+def render_subspace(sub):
+    lines = [f"subspace {sub.ambient_dim} pivots {list(sub.pivots)}"]
+    lines += [render_column(sub.field, c) for c in sub.basis_columns]
+    return lines
+
+
+def scenario_lines():
+    for scn in sorted(SCENARIO_DIR.glob("*.scn")):
+        text = scn.read_text()
+        for token in (None, "QQ", "F101"):
+            for machine in (False, True):
+                buf = io.StringIO()
+                code = cli.run(text, field_override=token, machine=machine, out=buf)
+                yield f"scenario {scn.name} {token} {machine} exit {code}"
+                yield buf.getvalue()
+
+
+def filtration_lines(token, seed):
+    field = parse_field_token(token)
+    fc, levels = random_filtered_complex(field, random.Random(seed))
+    ss = SpectralSequence(fc)
+    yield f"filtration {token} {seed} levels {sorted(levels.items())}"
+    for r in range(1, ss.r_star + 1):
+        page = ss.page(r)
+        for pos, pres in sorted(page.entries.items()):
+            yield f"entry {r} {pos} dim {pres.dim} rep pivots {list(pres.rep_pivots)}"
+            yield from (render_column(field, c) for c in pres.rep_columns)
+            yield from render_subspace(pres.relations)
+        for pos, m in sorted(ss.page_map(r).matrices.items()):
+            yield f"map {r} {pos}"
+            yield render_matrix_machine(m)
+    yield from (str(row) for row in ss.limit_comparison(strict=False).rows)
+
+
+def random_matrix(field, rng, rows, cols, density):
+    entries = {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                entries[(i, j)] = field.element(rng.randint(-4, 4))
+    return Matrix(field, rows, cols, entries)
+
+
+def matrix_lines(token, seed):
+    field = parse_field_token(token)
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 50), rng.randint(1, 50)
+    m = random_matrix(field, rng, rows, cols, rng.choice((0.05, 0.15, 0.4)))
+    other = random_matrix(field, rng, rows, rng.randint(1, 12), 0.3)
+    ech, r = echelonize(m)
+    yield f"matrix {token} {seed} {rows}x{cols} rank {r}"
+    yield render_matrix_machine(ech)
+    yield from render_subspace(kernel(m))
+    img, img2 = image(m), image(other)
+    cap = intersect(img, img2)
+    yield from render_subspace(cap)
+    yield from render_subspace(preimage(m, img2))
+    q = quotient(img, cap)
+    for c in img.basis_columns:
+        yield " ".join(field.render(x) for x in q.coordinates(c))
+
+
+def main():
+    digest = hashlib.sha256()
+    for line in scenario_lines():
+        digest.update(line.encode() + b"\n")
+    for token in FIELDS:
+        for seed in range(25):
+            for line in filtration_lines(token, seed):
+                digest.update(line.encode() + b"\n")
+        for seed in range(30):
+            for line in matrix_lines(token, seed):
+                digest.update(line.encode() + b"\n")
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -65,8 +65,8 @@ class FilteredComplex:
                 below = self.layer(p, n - 1)
                 if lay.is_zero or below.is_full:
                     continue
-                for col in lay.basis_columns:
-                    if not below.contains_vector(d.apply(col)):
+                for y in d.apply_all(lay.basis_columns):
+                    if not below.contains_vector(y):
                         raise ValueError(
                             f"layer ({p}, {n}) is not closed under the differential"
                         )

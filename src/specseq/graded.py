@@ -211,8 +211,7 @@ class GradedAlgebra:
                 out.update(part)
                 continue
             vec = {mono_pos[m]: c for m, c in part.items()}
-            _, res = reducer.reduce(vec)
-            for i, c in res.items():
+            for i, c in reducer.residual(vec).items():
                 out[all_monos[i]] = c
         return out
 
@@ -352,14 +351,15 @@ class GradedFreeModule:
         """Multiplication by variable i on the module, piece(d) -> piece(d+1)."""
         src = self.piece_basis(d)
         tgt_pos = {lab: k for k, lab in enumerate(self.piece_basis(d + 1))}
+        alg = self.algebra
+        blocks = {}
         entries = {}
         for col, (j, mono) in enumerate(src):
-            block = self.algebra.mult(i, sum(mono))
-            mcol = block.column_dict(
-                self.algebra._basis_index[sum(mono)][mono]
-            )
-            tgt_basis = self.algebra.basis(sum(mono) + 1)
-            for row, c in mcol.items():
+            deg = sum(mono)
+            if deg not in blocks:
+                blocks[deg] = (alg.mult(i, deg).column_dicts(), alg.basis(deg + 1))
+            block, tgt_basis = blocks[deg]
+            for row, c in block[alg._basis_index[deg][mono]].items():
                 entries[(tgt_pos[(j, tgt_basis[row])], col)] = c
         return Matrix(self.algebra.field, len(tgt_pos), len(src), entries)
 

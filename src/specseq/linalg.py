@@ -5,12 +5,17 @@ on column vectors.  Subspaces are kept as reduced column echelon bases with
 strictly increasing pivot rows, which makes the representation canonical:
 two subspaces are equal exactly when their stored bases are identical.
 
-Elimination: both fields go through one sparse pass over dict columns of raw
-scalars, unwrapped from FieldElement on the way in and wrapped again only for
-the columns returned.  Over QQ the scalars are Fractions and the pivot has the
-smallest bit size, to damp coefficient growth; over F_p they are int residues,
-the first candidate is the pivot and every update is reduced mod p.
+Elimination: both fields go through one sparse column algorithm over dict
+columns of raw scalars (Fractions over QQ, int residues reduced mod p over
+F_p), unwrapped from FieldElement on the way in and wrapped again only for the
+columns returned.  A lookup table from pivot row to pivot column lets each
+incoming column be reduced against exactly the pivots its own nonzeros meet,
+as in the standard persistence algorithm; a last back-substitution pass makes
+the form reduced.  The result does not depend on which column supplies a
+pivot, because a reduced column echelon form is unique.
 """
+
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     AmbientMismatch,
@@ -102,14 +107,24 @@ class Matrix:
             cols[j][i] = v
         return cols
 
+    def apply_all(self, vecs):
+        """Images of column vectors given as dicts {row: scalar}, in order.
+
+        The matrix is read into columns once for the whole batch.
+        """
+        columns = self.column_dicts()
+        out = []
+        for vec in vecs:
+            img = {}
+            for j, f in vec.items():
+                if f:
+                    _add_multiple(img, f, columns[j])
+            out.append(img)
+        return out
+
     def apply(self, vec):
         """Image of a column vector given as a dict {row: scalar}."""
-        out = {}
-        columns = self.column_dicts()
-        for j, f in vec.items():
-            if f:
-                _add_multiple(out, f, columns[j])
-        return out
+        return self.apply_all([vec])[0]
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -118,12 +133,8 @@ class Matrix:
             raise MixedFields("matrix product across fields")
         if self.cols != other.rows:
             raise AmbientMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        columns = self.column_dicts()
         out = Matrix(self.field, self.rows, other.cols)
-        for j, col in enumerate(other.column_dicts()):
-            prod = {}
-            for k, w in col.items():
-                _add_multiple(prod, w, columns[k])
+        for j, prod in enumerate(self.apply_all(other.column_dicts())):
             for i, v in prod.items():
                 out.entries[(i, j)] = v
         return out
@@ -265,44 +276,58 @@ def parse_matrix_machine(lines, start=0):
 # elimination engine
 
 
-def _bits(value):
-    return value.numerator.bit_length() + value.denominator.bit_length()
+def _reduce_columns(cols, scan_rows, p):
+    """Column echelon form, not yet reduced, of sparse columns of raw scalars.
+
+    p == 0 means QQ with Fraction entries, p > 0 means F_p with int residues.
+    Only rows below scan_rows are eliminated.  Each column is reduced in
+    increasing row order against the table of pivots found so far, visiting
+    only rows it holds or gains; its first row left with no pivot becomes a
+    new pivot, scaled to 1.  The column dicts are changed in place.  Returns
+    the table {pivot row: pivot column} and the other columns, which are zero
+    below scan_rows.
+    """
+    piv = {}
+    rest = []
+    for col in cols:
+        heap = [i for i in col if i < scan_rows]
+        heapify(heap)
+        while heap:
+            row = heappop(heap)
+            f = col.get(row)
+            if f is None:
+                continue
+            pc = piv.get(row)
+            if pc is None:
+                if f != 1:
+                    inv = pow(f, p - 2, p) if p else 1 / f
+                    for k, v in col.items():
+                        col[k] = v * inv % p if p else v * inv
+                piv[row] = col
+                break
+            for k in pc:
+                if k < scan_rows and k not in col:
+                    heappush(heap, k)
+            _add_multiple(col, -f, pc, p)
+        else:
+            rest.append(col)
+    return piv, rest
 
 
 def _py_rcef(cols, scan_rows, p):
     """Reduced column echelon form of sparse columns of raw scalars.
 
-    p == 0 means QQ, with Fraction entries and pivots of smallest bit size;
-    p > 0 means F_p, with int residues and the first candidate as pivot.
-    Only rows below scan_rows are eliminated.  Works in place on the list of
-    dicts it is given and returns it with the pivot rows, pivot columns first.
+    After _reduce_columns, a last pass from the highest pivot row down
+    clears the other pivot rows from each pivot column.  Returns the pivot
+    columns ordered by pivot row, and the pivot rows.
     """
-    pivots = []
-    r = 0
-    for row in range(scan_rows):
-        if r == len(cols):
-            break
-        cands = [j for j in range(r, len(cols)) if row in cols[j]]
-        if not cands:
-            continue
-        j = cands[0] if p else min(cands, key=lambda jj: _bits(cols[jj][row]))
-        cols[r], cols[j] = cols[j], cols[r]
-        piv = cols[r]
-        pv = piv[row]
-        if pv != 1:
-            inv = pow(pv, p - 2, p) if p else 1 / pv
-            for k, v in piv.items():
-                piv[k] = v * inv % p if p else v * inv
-        for j2 in range(len(cols)):
-            if j2 == r:
-                continue
-            other = cols[j2]
-            f = other.get(row)
-            if f is not None:
-                _add_multiple(other, -f, piv, p)
-        pivots.append(row)
-        r += 1
-    return cols, pivots
+    piv, _ = _reduce_columns(cols, scan_rows, p)
+    order = sorted(piv)
+    for row in reversed(order):
+        col = piv[row]
+        for k in [k for k in col if k != row and k in piv]:
+            _add_multiple(col, -col[k], piv[k], p)
+    return [piv[row] for row in order], order
 
 
 def _raw(columns):
@@ -316,7 +341,7 @@ def _elements(field, columns):
 def _rcef_columns(field, columns, nrows):
     """Canonical reduced column echelon.  Returns (pivot columns, pivots)."""
     cols, pivots = _py_rcef(_raw(columns), nrows, field.characteristic)
-    return _elements(field, cols[: len(pivots)]), pivots
+    return _elements(field, cols), pivots
 
 
 def _kernel_columns(field, columns, nrows):
@@ -326,13 +351,12 @@ def _kernel_columns(field, columns, nrows):
     stacked = _raw(columns)
     for j, col in enumerate(stacked):
         col[nrows + j] = one
-    cols, pivots = _py_rcef(stacked, nrows, p)
-    raw = [
-        {i - nrows: v for i, v in col.items() if i >= nrows}
-        for col in cols[len(pivots):]
-    ]
+    # the columns that reduce to zero on top carry a kernel basis below; the
+    # pivot columns are dropped, so they need no back-substitution
+    _, rest = _reduce_columns(stacked, nrows, p)
+    raw = [{i - nrows: v for i, v in col.items()} for col in rest]
     kcols, kpivots = _py_rcef(raw, len(columns), p)
-    return _elements(field, kcols[: len(kpivots)]), kpivots
+    return _elements(field, kcols), kpivots
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +366,14 @@ def _kernel_columns(field, columns, nrows):
 class Subspace:
     """Linear subspace of k^n held as a canonical reduced column echelon basis."""
 
-    __slots__ = ("field", "ambient_dim", "basis_columns", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis_columns", "pivots", "_pivot_index")
 
     def __init__(self, field, ambient_dim, basis_columns, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis_columns = tuple(basis_columns)
         self.pivots = tuple(pivots)
+        self._pivot_index = None
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -401,22 +426,35 @@ class Subspace:
     def basis_matrix(self):
         return Matrix.from_column_dicts(self.field, self.ambient_dim, self.basis_columns)
 
+    def _readoff(self, vec):
+        """Nonzero coordinates as (basis index, scalar) pairs, and the residual.
+
+        The basis is reduced, so the coordinate along basis column k is the
+        vector's own entry at pivot row k; only those entries are visited.
+        """
+        index = self._pivot_index
+        if index is None:
+            index = self._pivot_index = {pr: k for k, pr in enumerate(self.pivots)}
+        residual = {i: v for i, v in vec.items() if v}
+        hits = [(index[i], v) for i, v in residual.items() if i in index]
+        for k, f in hits:
+            _add_multiple(residual, -f, self.basis_columns[k])
+        return hits, residual
+
     def reduce(self, vec):
         """Echelon readoff: coordinates along the basis plus the residual."""
-        vec = {i: v for i, v in vec.items() if v}
-        coords = []
-        for col, pr in zip(self.basis_columns, self.pivots):
-            f = vec.get(pr)
-            if f is None:
-                coords.append(self.field.zero)
-                continue
-            coords.append(f)
-            _add_multiple(vec, -f, col)
-        return coords, vec
+        hits, residual = self._readoff(vec)
+        coords = [self.field.zero] * len(self.pivots)
+        for k, f in hits:
+            coords[k] = f
+        return coords, residual
+
+    def residual(self, vec):
+        """What is left of vec after subtracting its part along the basis."""
+        return self._readoff(vec)[1]
 
     def contains_vector(self, vec):
-        _, residual = self.reduce(vec)
-        return not residual
+        return not self.residual(vec)
 
     def contains(self, other):
         if other.ambient_dim != self.ambient_dim:
@@ -540,7 +578,7 @@ class QuotientPresentation:
 
     def coordinates(self, vec):
         """Class coordinates of an ambient vector lying in the numerator."""
-        _, partial = self.relations.reduce(vec)
+        partial = self.relations.residual(vec)
         helper = Subspace(self.field, self.ambient_dim, self.rep_columns, self.rep_pivots)
         coords, residual = helper.reduce(partial)
         if residual:
@@ -568,7 +606,7 @@ def quotient(v, w):
         raise NotASubspace("denominator not contained in numerator")
     residuals = []
     for col in v.basis_columns:
-        _, res = w.reduce(col)
+        res = w.residual(col)
         if res:
             residuals.append(res)
     comp = Subspace.spanned_by_columns(v.field, v.ambient_dim, residuals)
@@ -583,12 +621,13 @@ def induced_map(m, src, tgt):
         raise MixedFields("induced map across fields")
     if m.cols != src.ambient_dim or m.rows != tgt.ambient_dim:
         raise AmbientMismatch("induced map shape mismatch")
-    for col in src.relations.basis_columns:
-        if not tgt.relations.contains_vector(m.apply(col)):
+    relations = src.relations.basis_columns
+    images = m.apply_all(relations + src.rep_columns)
+    for y in images[: len(relations)]:
+        if not tgt.relations.contains_vector(y):
             raise NotWellDefined("relations are not carried into relations")
     entries = {}
-    for j, rep in enumerate(src.rep_columns):
-        y = m.apply(rep)
+    for j, y in enumerate(images[len(relations):]):
         try:
             coords = tgt.coordinates(y)
         except NotASubspace:
@@ -607,5 +646,4 @@ def apply_to_subspace(m, sub):
         raise MixedFields("matrix and subspace over different fields")
     if sub.is_zero or m.is_zero:
         return Subspace.zero(m.field, m.rows)
-    cols = [m.apply(c) for c in sub.basis_columns]
-    return Subspace.spanned_by_columns(m.field, m.rows, cols)
+    return Subspace.spanned_by_columns(m.field, m.rows, m.apply_all(sub.basis_columns))

@@ -95,6 +95,73 @@ def test_echelon_idempotent_and_canonical():
             assert image(m2) == image(m)
 
 
+@pytest.mark.parametrize("rows, cols", [(40, 60), (60, 40)])
+@pytest.mark.parametrize("token", ["QQ", "F2", "F2147483647"])
+def test_echelon_and_kernel_ignore_column_order_and_scale(token, rows, cols):
+    field = parse_field_token(token)
+    rng = random.Random(rows * 100 + cols)
+    m = rand_matrix(field, rng, rows, cols, density=0.04)
+    order = list(range(cols))
+    rng.shuffle(order)
+    scales = []
+    for _ in order:
+        s = field.random_element(rng)
+        scales.append(s if s else field.one)
+    columns = m.column_dicts()
+    moved = Matrix.from_column_dicts(
+        field,
+        rows,
+        [{i: s * v for i, v in columns[j].items()} for j, s in zip(order, scales)],
+    )
+    assert echelonize(moved) == echelonize(m)
+    # column k of moved is scales[k] times column order[k] of m, so x lies in
+    # kernel(moved) exactly when sum_k x_k scales[k] e_order[k] lies in kernel(m)
+    back = [
+        {order[k]: scales[k] * v for k, v in col.items()}
+        for col in kernel(moved).basis_columns
+    ]
+    assert Subspace.spanned_by_columns(field, cols, back) == kernel(m)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)])
+def test_echelon_picks_up_a_filled_pivot_row(field):
+    # reducing the third column by the first fills row 1, and reducing that
+    # by the second fills row 2, which is where the third pivot lands
+    m = Matrix.from_rows(field, [[1, 0, 1], [1, 1, 0], [0, 1, 0]])
+    e, r = echelonize(m)
+    assert r == 3
+    assert e == Matrix.identity(field, 3)
+    assert kernel(m).is_zero
+
+
+def test_reduce_recombines_to_the_vector():
+    rng = random.Random(97)
+    for field in (QQ, F7, PrimeField(2147483647)):
+        for _ in range(25):
+            ambient = rng.randint(1, 12)
+            s = rand_subspace(field, rng, ambient, rng.randint(0, 8))
+            vec = rand_matrix(field, rng, ambient, 1, density=0.5).column_dict(0)
+            coords, residual = s.reduce(vec)
+            assert len(coords) == s.dim
+            assert residual == s.residual(vec)
+            assert not any(pr in residual for pr in s.pivots)
+            total = dict(residual)
+            for c, col in zip(coords, s.basis_columns):
+                for i, v in col.items():
+                    total[i] = total.get(i, field.zero) + c * v
+            assert {i: v for i, v in total.items() if v} == vec
+            assert s.contains_vector(vec) == (not residual)
+
+
+def test_apply_all_matches_apply():
+    rng = random.Random(101)
+    for field in (QQ, F101):
+        for _ in range(10):
+            m = rand_matrix(field, rng, rng.randint(0, 6), rng.randint(1, 6))
+            vecs = rand_matrix(field, rng, m.cols, rng.randint(0, 5)).column_dicts()
+            assert m.apply_all(vecs) == [m.apply(v) for v in vecs]
+
+
 def test_kernel_literal():
     m = Matrix.from_rows(QQ, [[1, 1], [1, 1]])
     k = kernel(m)

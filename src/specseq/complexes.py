@@ -11,6 +11,7 @@ from .errors import AmbientMismatch, MixedFields, NotAComplex, ParseError
 from .fields import parse_field_token
 from .linalg import (
     Matrix,
+    _add_multiple,
     image,
     kernel,
     parse_matrix_machine,
@@ -152,7 +153,7 @@ class ChainMap:
 
 def shift(c, s):
     """Degree shift: term(n) = c.term(n - s), differential scaled by (-1)^s."""
-    sign = c.field.element(-1 if s % 2 else 1)
+    sign = -1 if s % 2 else 1
     labels = {n + s: c.term_labels(n) for n in c.degrees()}
     diffs = {n + s: c.diff(n).scale(sign) for n in c.degrees()}
     return ChainComplex(c.field, labels, diffs, validate=False)
@@ -191,6 +192,7 @@ def tensor(c, d):
                     labs.append((i, a, b))
         labels[n] = labs
     diffs = {}
+    p = field.characteristic
     c_cols = {i: c.diff(i).column_dicts() for i in c.degrees()}
     d_cols = {j: d.diff(j).column_dicts() for j in d.degrees()}
     for n in labels:
@@ -198,7 +200,7 @@ def tensor(c, d):
         prev = layouts.get(n - 1, {})
         for i, j, base in _tensor_layout(c, d, n)[0]:
             di, dj = c.dim(i), d.dim(j)
-            sign = field.element(-1 if i % 2 else 1)
+            sign = -1 if i % 2 else 1
             for ai in range(di):
                 ccol = c_cols[i][ai] if c.dim(i - 1) else {}
                 for bj in range(dj):
@@ -208,17 +210,9 @@ def tensor(c, d):
                         for a2, v in ccol.items():
                             entries[(tbase + a2 * dj + bj, src)] = v
                     if i in prev and d.dim(j - 1):
-                        tbase = prev[i]
-                        dj1 = d.dim(j - 1)
-                        for b2, w in d_cols[j][bj].items():
-                            key = (tbase + ai * dj1 + b2, src)
-                            cur = entries.get(key)
-                            val = sign * w
-                            cur = cur + val if cur is not None else val
-                            if cur:
-                                entries[key] = cur
-                            else:
-                                entries.pop(key, None)
+                        tbase = prev[i] + ai * d.dim(j - 1)
+                        col = {(tbase + b2, src): w for b2, w in d_cols[j][bj].items()}
+                        _add_multiple(entries, sign, col, p)
         if entries:
             rows = len(labels.get(n - 1, ()))
             diffs[n] = Matrix(field, rows, len(labels[n]), entries)
@@ -261,7 +255,8 @@ def hom_complex(c, d):
         if not prev_total:
             continue
         prev = {i: base for i, base in prev_layout}
-        sign = field.element(-1 if n % 2 else 1)
+        sign = -1 if n % 2 else 1
+        p = field.characteristic
         for i, base in _hom_layout(c, d, n)[0]:
             di, dj = c.dim(i), d.dim(i + n)
             dd_cols = d.diff(i + n).column_dicts() if d.dim(i + n - 1) else None
@@ -276,17 +271,12 @@ def hom_complex(c, d):
                             entries[(tbase + ai * dj1 + b2, src)] = w
                     if i + 1 in prev and c.dim(i + 1):
                         tbase = prev[i + 1]
-                        for (row, col), alpha in dc.entries.items():
-                            if row != ai:
-                                continue
-                            key = (tbase + col * dj + bj, src)
-                            cur = entries.get(key)
-                            val = -(sign * alpha)
-                            cur = cur + val if cur is not None else val
-                            if cur:
-                                entries[key] = cur
-                            else:
-                                entries.pop(key, None)
+                        col = {
+                            (tbase + k * dj + bj, src): alpha
+                            for (row, k), alpha in dc.entries.items()
+                            if row == ai
+                        }
+                        _add_multiple(entries, -sign, col, p)
         if entries:
             diffs[n] = Matrix(field, len(labels.get(n - 1, ())), len(labels[n]), entries)
     return ChainComplex(field, labels, diffs)

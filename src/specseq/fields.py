@@ -1,14 +1,19 @@
 """Exact coefficient fields: the rationals and the prime fields F_p.
 
-Scalars are FieldElement values carrying a reference to their field, so
-arithmetic between elements of different fields fails loudly instead of
-silently coercing.  Rationals are backed by fractions.Fraction (always in
-lowest terms, positive denominator); prime field elements are residues in
-[0, p).
+Inside the library a scalar is a raw field value: over F_p an int residue
+in [0, p), over QQ an int or a fractions.Fraction (`Rationals.normalize`
+turns an integral Fraction into an int).  A FieldElement wraps one raw
+value together with its field; a user makes or reads one scalar through
+it (`Field.element`, `parse`, `random_element`, `zero`, `one`,
+`Matrix.entry`).  Its arithmetic accepts raw values of its own field and
+fails loudly on elements of another field instead of silently coercing.
 
+>>> from fractions import Fraction
 >>> from specseq.fields import QQ, PrimeField
 >>> QQ.parse("5/6") + QQ.parse("1/6")
 1
+>>> QQ.element(2) * Fraction(1, 2) == 1
+True
 >>> F7 = PrimeField(7)
 >>> (F7.element(3) * F7.element(5)).value
 1
@@ -49,7 +54,7 @@ def _is_prime(n):
 
 
 class FieldElement:
-    """A scalar together with the field it lives in."""
+    """A raw scalar together with the field it lives in."""
 
     __slots__ = ("field", "value")
 
@@ -58,19 +63,16 @@ class FieldElement:
         self.value = field.normalize(value)
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise MixedFields(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, int):
-            return self.field.element(other)
+        """Raw value of other if it is a scalar of this field, else None."""
+        if isinstance(other, FieldElement) or isinstance(other, self.field.raw_types):
+            return self.field.scalar(other)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.field, self.value + other.value)
+        return FieldElement(self.field, self.value + other)
 
     __radd__ = __add__
 
@@ -78,19 +80,19 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.field, self.value - other.value)
+        return FieldElement(self.field, self.value - other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.field, other.value - self.value)
+        return FieldElement(self.field, other - self.value)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.field, self.value * other.value)
+        return FieldElement(self.field, self.value * other)
 
     __rmul__ = __mul__
 
@@ -98,15 +100,21 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self * other.inverse()
+        if not other:
+            raise DivisionByZero(f"division by zero in {self.field}")
+        return FieldElement(self.field, self.value * self.field.invert(other))
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return FieldElement(self.field, other) / self
 
     def __neg__(self):
         return FieldElement(self.field, -self.value)
 
     def inverse(self):
-        if not self:
-            raise DivisionByZero(f"inverse of zero in {self.field}")
-        return FieldElement(self.field, self.field.invert(self.value))
+        return self.field.one / self
 
     def __bool__(self):
         return self.value != 0
@@ -114,15 +122,15 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self == self.field.element(other)
+        if isinstance(other, self.field.raw_types):
+            return self.value == self.field.normalize(other)
         return NotImplemented
 
     def __hash__(self):
         return hash((self.field, self.value))
 
     def __repr__(self):
-        return self.field.render(self)
+        return str(self.value)
 
     __str__ = __repr__
 
@@ -131,11 +139,14 @@ class Field:
     """Base for the two supported coefficient fields.
 
     Field objects are value-like: two instances are interchangeable exactly
-    when kind and characteristic agree.
+    when kind and characteristic agree.  `raw_types` are the Python types a
+    raw value of the field may be handed in as.
     """
 
     kind = ""
     characteristic = 0
+    raw_types = (int,)
+    render = str
 
     def element(self, value):
         if isinstance(value, FieldElement):
@@ -143,6 +154,12 @@ class Field:
                 raise MixedFields(f"{value.field} element used in {self}")
             return value
         return FieldElement(self, value)
+
+    def scalar(self, value):
+        """The raw value of a FieldElement of this field or of a raw scalar."""
+        if isinstance(value, FieldElement):
+            return self.element(value).value
+        return self.normalize(value)
 
     @cached_property
     def zero(self):
@@ -169,16 +186,17 @@ class Field:
 class Rationals(Field):
     kind = "rationals"
     characteristic = 0
+    raw_types = (int, Fraction)
 
     def normalize(self, value):
         if isinstance(value, Fraction):
-            return value
+            return value.numerator if value.denominator == 1 else value
         if isinstance(value, int):
-            return Fraction(value)
+            return value
         raise TypeError(f"cannot make a rational from {value!r}")
 
     def invert(self, value):
-        return 1 / value
+        return self.normalize(Fraction(1, value))
 
     def parse(self, text):
         text = text.strip().replace("−", "-")
@@ -189,9 +207,6 @@ class Rationals(Field):
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {text!r}") from None
         return self.element(value)
-
-    def render(self, element):
-        return str(element.value)
 
     def random_element(self, rng):
         return self.element(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
@@ -223,9 +238,6 @@ class PrimeField(Field):
         if not _INT_RE.match(text):
             raise ParseError(f"bad residue {text!r}")
         return self.element(int(text))
-
-    def render(self, element):
-        return str(element.value)
 
     def random_element(self, rng):
         return self.element(rng.randrange(self.characteristic))

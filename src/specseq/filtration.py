@@ -259,7 +259,7 @@ def from_basis_levels(ambient, levels, validate=True):
             lvls = levels.get(n, [])
             if len(lvls) != ambient.dim(n):
                 raise ValueError(f"need one level per basis vector in degree {n}")
-            cols = [{k: field.one} for k, lv in enumerate(lvls) if lv <= p]
+            cols = [{k: 1} for k, lv in enumerate(lvls) if lv <= p]
             per[n] = Subspace.spanned_by_columns(field, ambient.dim(n), cols)
         layers[p] = per
     return FilteredComplex(ambient, layers, validate=validate)

@@ -20,7 +20,15 @@ from math import comb
 from .complexes import ChainComplex
 from .errors import NotFiniteDimensional, ParseError
 from .filtration import from_basis_levels
-from .linalg import Matrix, Subspace, apply_to_subspace, kernel, quotient, subspace_sum
+from .linalg import (
+    Matrix,
+    Subspace,
+    _add_multiple,
+    apply_to_subspace,
+    kernel,
+    quotient,
+    subspace_sum,
+)
 
 
 def monomials(num_vars, degree):
@@ -40,17 +48,11 @@ def monomial_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def poly_mul(a, b):
+def poly_mul(a, b, p=0):
+    """Product of two polynomials of raw coefficients; p as in _add_multiple."""
     out = {}
     for ma, ca in a.items():
-        for mb, cb in b.items():
-            key = monomial_mul(ma, mb)
-            cur = out.get(key)
-            val = ca * cb if cur is None else cur + ca * cb
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+        _add_multiple(out, ca, {monomial_mul(ma, mb): cb for mb, cb in b.items()}, p)
     return out
 
 
@@ -76,7 +78,7 @@ def parse_poly(field, num_vars, text, names=None):
     out = {}
     pos = 0
     while pos < len(s):
-        sign = field.one
+        sign = 1
         seen = False
         while pos < len(s) and (s[pos] in "+-" or s[pos].isspace()):
             if s[pos] == "-":
@@ -106,7 +108,7 @@ def parse_poly(field, num_vars, text, names=None):
             if not factor:
                 raise ParseError(f"empty factor in term {term!r}")
             if factor[0].isdigit():
-                coef = coef * field.parse(factor)
+                coef = coef * field.parse(factor).value
                 continue
             name, sep, power = factor.partition("^")
             name = name.strip()
@@ -121,13 +123,7 @@ def parse_poly(field, num_vars, text, names=None):
             if e < 0:
                 raise ParseError(f"negative exponent in {factor!r}")
             expo[index[name]] += e
-        mono = tuple(expo)
-        cur = out.get(mono)
-        val = coef if cur is None else cur + coef
-        if val:
-            out[mono] = val
-        else:
-            out.pop(mono, None)
+        _add_multiple(out, coef, {tuple(expo): 1}, field.characteristic)
     return out
 
 
@@ -226,7 +222,7 @@ class GradedAlgebra:
         unit = tuple(1 if k == i else 0 for k in range(self.num_vars))
         entries = {}
         for j, mono in enumerate(src):
-            prod = self.reduce({monomial_mul(mono, unit): self.field.one})
+            prod = self.reduce({monomial_mul(mono, unit): 1})
             for m2, c in prod.items():
                 entries[(tgt_index[m2], j)] = c
         m = Matrix(self.field, len(tgt_index), len(src), entries)
@@ -253,7 +249,7 @@ def build_quotient_algebra(field, num_vars, gens, top_bound=64, names=None):
         poly = (
             parse_poly(field, num_vars, g, names)
             if isinstance(g, str)
-            else {tuple(m): field.element(c) for m, c in g.items() if field.element(c)}
+            else _clean_poly(field, g)
         )
         if not poly:
             raise ValueError("zero relation")
@@ -294,6 +290,16 @@ def build_quotient_algebra(field, num_vars, gens, top_bound=64, names=None):
         reducers[d] = (reducer, all_monos, mono_pos)
         d += 1
     return GradedAlgebra(field, num_vars, names, relations, basis, reducers, top_degree)
+
+
+def _clean_poly(field, poly):
+    """A user's {monomial: scalar} dict with raw coefficients, zeros dropped."""
+    out = {}
+    for m, c in poly.items():
+        c = field.scalar(c)
+        if c:
+            out[tuple(m)] = c
+    return out
 
 
 class GradedFreeModule:
@@ -385,9 +391,7 @@ class GradedModuleMap:
         alg = source.algebra
         cleaned = {}
         for (a, b), poly in entries.items():
-            reduced = alg.reduce(
-                {tuple(m): alg.field.element(c) for m, c in poly.items()}
-            )
+            reduced = alg.reduce(_clean_poly(alg.field, poly))
             if not reduced:
                 continue
             if validate:
@@ -407,6 +411,7 @@ class GradedModuleMap:
         if cached is not None:
             return cached
         alg = self.source.algebra
+        p = alg.field.characteristic
         src = self.source.piece_basis(d)
         tgt_pos = {lab: k for k, lab in enumerate(self.target.piece_basis(d))}
         by_src_gen = {}
@@ -415,15 +420,10 @@ class GradedModuleMap:
         entries = {}
         for col, (b, mono) in enumerate(src):
             for a, poly in by_src_gen.get(b, ()):
-                prod = alg.reduce(poly_mul(poly, {mono: alg.field.one}))
-                for m2, c in prod.items():
-                    key = (tgt_pos[(a, m2)], col)
-                    cur = entries.get(key)
-                    val = c if cur is None else cur + c
-                    if val:
-                        entries[key] = val
-                    else:
-                        entries.pop(key, None)
+                prod = alg.reduce(poly_mul(poly, {mono: 1}, p))
+                _add_multiple(
+                    entries, 1, {(tgt_pos[(a, m2)], col): c for m2, c in prod.items()}, p
+                )
         m = Matrix(alg.field, len(tgt_pos), len(src), entries)
         self._expanded[d] = m
         return m
@@ -480,7 +480,6 @@ def koszul_complex(algebra):
             algebra, (q,) * len(subsets), tuple(subsets)
         )
     maps = {}
-    field = algebra.field
     for q in range(1, n + 1):
         tgt_pos = {s: k for k, s in enumerate(gens[q - 1])}
         entries = {}
@@ -488,8 +487,7 @@ def koszul_complex(algebra):
             for l, var in enumerate(subset):
                 rest = subset[:l] + subset[l + 1 :]
                 unit = tuple(1 if k == var else 0 for k in range(n))
-                sign = field.element(-1 if l % 2 else 1)
-                entries[(tgt_pos[rest], b)] = {unit: sign}
+                entries[(tgt_pos[rest], b)] = {unit: -1 if l % 2 else 1}
         maps[q] = GradedModuleMap(modules[q], modules[q - 1], entries)
     return GradedComplex(algebra, modules, maps)
 
@@ -556,7 +554,6 @@ def tensor_complex(cf, ck):
     if cf.algebra is not ck.algebra:
         raise ValueError("tensor factors over different algebras")
     algebra = cf.algebra
-    field = algebra.field
     positions = {}
     modules = {}
     for n in range(cf.lo + ck.lo, cf.hi + ck.hi + 1):
@@ -590,7 +587,7 @@ def tensor_complex(cf, ck):
                     entries[key] = dict(poly)
             dk = ck.map(j)
             if dk is not None:
-                sign = field.element(-1 if i % 2 else 1)
+                sign = -1 if i % 2 else 1
                 for (b2, bb), poly in dk.entries.items():
                     if bb != b:
                         continue

@@ -1,18 +1,24 @@
 """Exact sparse linear algebra over a coefficient field.
 
-Matrices are stored as dicts mapping (row, col) to a nonzero scalar and act
-on column vectors.  Subspaces are kept as reduced column echelon bases with
-strictly increasing pivot rows, which makes the representation canonical:
-two subspaces are equal exactly when their stored bases are identical.
+Every scalar stored here is a raw field value (see fields.py): an int
+residue in [0, p) over F_p, an int or a Fraction over QQ.  Matrices are
+dicts mapping (row, col) to a nonzero scalar and act on column vectors held
+as {row: scalar} dicts; subspace bases, quotient representatives and
+coordinate lists hold raw values too.  FieldElement values are accepted only
+where a user hands in scalars (the Matrix constructor, `scale`) and handed
+out only by `Matrix.entry`.  Every sparse update is `_add_multiple`, given
+the field's modulus.
 
-Elimination: both fields go through one sparse column algorithm over dict
-columns of raw scalars (Fractions over QQ, int residues reduced mod p over
-F_p), unwrapped from FieldElement on the way in and wrapped again only for the
-columns returned.  A lookup table from pivot row to pivot column lets each
-incoming column be reduced against exactly the pivots its own nonzeros meet,
-as in the standard persistence algorithm; a last back-substitution pass makes
-the form reduced.  The result does not depend on which column supplies a
-pivot, because a reduced column echelon form is unique.
+Subspaces are kept as reduced column echelon bases with strictly increasing
+pivot rows, which makes the representation canonical: two subspaces are
+equal exactly when their stored bases are identical.
+
+Elimination: both fields go through one sparse column algorithm.  A lookup
+table from pivot row to pivot column lets each incoming column be reduced
+against exactly the pivots its own nonzeros meet, as in the standard
+persistence algorithm; a last back-substitution pass makes the form
+reduced.  The result does not depend on which column supplies a pivot,
+because a reduced column echelon form is unique.
 """
 
 from heapq import heapify, heappop, heappush
@@ -24,7 +30,7 @@ from .errors import (
     NotWellDefined,
     ParseError,
 )
-from .fields import FieldElement, parse_field_token
+from .fields import QQ, parse_field_token
 
 
 def _add_multiple(vec, f, col, p=0):
@@ -56,10 +62,7 @@ class Matrix:
         self.cols = cols
         clean = {}
         for (i, j), val in (entries or {}).items():
-            if not isinstance(val, FieldElement):
-                val = field.element(val)
-            elif val.field != field:
-                raise MixedFields(f"entry from {val.field}, matrix over {field}")
+            val = field.scalar(val)
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
             if val:
@@ -72,8 +75,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        one = field.one
-        return cls(field, n, n, {(i, i): one for i in range(n)})
+        return cls(field, n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_rows(cls, field, rows_data):
@@ -96,7 +98,7 @@ class Matrix:
         return cls(field, rows, len(columns), entries)
 
     def entry(self, i, j):
-        return self.entries.get((i, j), self.field.zero)
+        return self.field.element(self.entries.get((i, j), 0))
 
     def column_dict(self, j):
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
@@ -113,12 +115,13 @@ class Matrix:
         The matrix is read into columns once for the whole batch.
         """
         columns = self.column_dicts()
+        p = self.field.characteristic
         out = []
         for vec in vecs:
             img = {}
             for j, f in vec.items():
                 if f:
-                    _add_multiple(img, f, columns[j])
+                    _add_multiple(img, f, columns[j], p)
             out.append(img)
         return out
 
@@ -151,7 +154,7 @@ class Matrix:
         self._same_shape(other)
         out = Matrix(self.field, self.rows, self.cols)
         out.entries = dict(self.entries)
-        _add_multiple(out.entries, self.field.one, other.entries)
+        _add_multiple(out.entries, 1, other.entries, self.field.characteristic)
         return out
 
     def __sub__(self, other):
@@ -160,16 +163,13 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self):
-        out = Matrix(self.field, self.rows, self.cols)
-        out.entries = {key: -v for key, v in self.entries.items()}
-        return out
+        return self.scale(-1)
 
     def scale(self, scalar):
-        if not isinstance(scalar, FieldElement):
-            scalar = self.field.element(scalar)
+        scalar = self.field.scalar(scalar)
         out = Matrix(self.field, self.rows, self.cols)
         if scalar:
-            out.entries = {key: scalar * v for key, v in self.entries.items()}
+            _add_multiple(out.entries, scalar, self.entries, self.field.characteristic)
         return out
 
     def transpose(self):
@@ -196,7 +196,7 @@ class Matrix:
     def render_text(self):
         """Rows between '|' delimiters, entries right-aligned per column."""
         cells = [
-            [self.field.render(self.entry(i, j)) for j in range(self.cols)]
+            [self.field.render(self.entries.get((i, j), 0)) for j in range(self.cols)]
             for i in range(self.rows)
         ]
         widths = [
@@ -300,7 +300,7 @@ def _reduce_columns(cols, scan_rows, p):
             pc = piv.get(row)
             if pc is None:
                 if f != 1:
-                    inv = pow(f, p - 2, p) if p else 1 / f
+                    inv = pow(f, p - 2, p) if p else QQ.invert(f)
                     for k, v in col.items():
                         col[k] = v * inv % p if p else v * inv
                 piv[row] = col
@@ -330,33 +330,17 @@ def _py_rcef(cols, scan_rows, p):
     return [piv[row] for row in order], order
 
 
-def _raw(columns):
-    return [{i: v.value for i, v in col.items()} for col in columns]
-
-
-def _elements(field, columns):
-    return [{i: FieldElement(field, v) for i, v in col.items()} for col in columns]
-
-
-def _rcef_columns(field, columns, nrows):
-    """Canonical reduced column echelon.  Returns (pivot columns, pivots)."""
-    cols, pivots = _py_rcef(_raw(columns), nrows, field.characteristic)
-    return _elements(field, cols), pivots
-
-
 def _kernel_columns(field, columns, nrows):
     """Canonical basis for the kernel of the map sending e_j to columns[j]."""
     p = field.characteristic
-    one = field.one.value
-    stacked = _raw(columns)
+    stacked = [dict(c) for c in columns]
     for j, col in enumerate(stacked):
-        col[nrows + j] = one
+        col[nrows + j] = 1
     # the columns that reduce to zero on top carry a kernel basis below; the
     # pivot columns are dropped, so they need no back-substitution
     _, rest = _reduce_columns(stacked, nrows, p)
-    raw = [{i - nrows: v for i, v in col.items()} for col in rest]
-    kcols, kpivots = _py_rcef(raw, len(columns), p)
-    return _elements(field, kcols), kpivots
+    lower = [{i - nrows: v for i, v in col.items()} for col in rest]
+    return _py_rcef(lower, len(columns), p)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +365,10 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        one = field.one
         return cls(
             field,
             ambient_dim,
-            tuple({i: one} for i in range(ambient_dim)),
+            tuple({i: 1} for i in range(ambient_dim)),
             tuple(range(ambient_dim)),
         )
 
@@ -401,10 +384,10 @@ class Subspace:
         if all(len(c) == 1 for c in columns):
             rows = {next(iter(c)) for c in columns}
             if len(rows) == len(columns):
-                one = field.one
                 ordered = sorted(rows)
-                return cls(field, ambient_dim, tuple({i: one} for i in ordered), tuple(ordered))
-        cols, pivots = _rcef_columns(field, columns, ambient_dim)
+                return cls(field, ambient_dim, tuple({i: 1} for i in ordered), tuple(ordered))
+        # the engine edits its columns in place, so it gets copies
+        cols, pivots = _py_rcef([dict(c) for c in columns], ambient_dim, field.characteristic)
         return cls(field, ambient_dim, cols, pivots)
 
     @classmethod
@@ -437,14 +420,15 @@ class Subspace:
             index = self._pivot_index = {pr: k for k, pr in enumerate(self.pivots)}
         residual = {i: v for i, v in vec.items() if v}
         hits = [(index[i], v) for i, v in residual.items() if i in index]
+        p = self.field.characteristic
         for k, f in hits:
-            _add_multiple(residual, -f, self.basis_columns[k])
+            _add_multiple(residual, -f, self.basis_columns[k], p)
         return hits, residual
 
     def reduce(self, vec):
         """Echelon readoff: coordinates along the basis plus the residual."""
         hits, residual = self._readoff(vec)
-        coords = [self.field.zero] * len(self.pivots)
+        coords = [0] * len(self.pivots)
         for k, f in hits:
             coords[k] = f
         return coords, residual
@@ -483,7 +467,7 @@ def _check_pair(a, b):
 
 def echelonize(m):
     """Reduced column echelon form with the same shape; returns (matrix, rank)."""
-    cols, pivots = _rcef_columns(m.field, m.column_dicts(), m.rows)
+    cols, pivots = _py_rcef(m.column_dicts(), m.rows, m.field.characteristic)
     out = Matrix.from_column_dicts(m.field, m.rows, cols)
     out.cols = m.cols
     return out, len(pivots)
@@ -520,12 +504,13 @@ def intersect(a, b):
     acols = list(a.basis_columns)
     combined = acols + list(b.basis_columns)
     kern, _ = _kernel_columns(a.field, combined, a.ambient_dim)
+    p = a.field.characteristic
     vectors = []
     for col in kern:
         vec = {}
         for j, f in col.items():
             if j < len(acols):
-                _add_multiple(vec, f, acols[j])
+                _add_multiple(vec, f, acols[j], p)
         if vec:
             vectors.append(vec)
     return Subspace.spanned_by_columns(a.field, a.ambient_dim, vectors)
@@ -539,11 +524,9 @@ def preimage(m, w):
         raise AmbientMismatch("preimage target dimension mismatch")
     if w.is_full:
         return Subspace.full(m.field, m.cols)
-    cols = m.column_dicts()
-    shifted = [
-        {i: -v for i, v in col.items()} for col in w.basis_columns
-    ]
-    kern, _ = _kernel_columns(m.field, cols + shifted, m.rows)
+    # m x + w y = 0 exactly when m x = w (-y) lies in w, so the kernel of
+    # [m | basis of w] projects onto the preimage
+    kern, _ = _kernel_columns(m.field, m.column_dicts() + list(w.basis_columns), m.rows)
     projected = [
         {j: f for j, f in col.items() if j < m.cols} for col in kern
     ]

@@ -8,22 +8,15 @@ vector, which forces both d o d = 0 and closure of every layer.
 
 from .complexes import ChainComplex
 from .filtration import from_basis_levels
-from .linalg import Matrix, Subspace, intersect, kernel
+from .linalg import Matrix, Subspace, _add_multiple, intersect, kernel
 
 
 def _random_vector_in(field, rng, sub):
     out = {}
     for col in sub.basis_columns:
-        c = field.random_element(rng)
-        if not c:
-            continue
-        for i, v in col.items():
-            cur = out.get(i)
-            val = c * v if cur is None else cur + c * v
-            if val:
-                out[i] = val
-            else:
-                out.pop(i, None)
+        c = field.random_element(rng).value
+        if c:
+            _add_multiple(out, c, col, field.characteristic)
     return out
 
 
@@ -65,7 +58,7 @@ def random_filtered_complex(field, rng, top_degree=3, max_dim=6, max_width=4):
             allowed = Subspace.spanned_by_columns(
                 field,
                 dims[n - 1],
-                [{i: field.one} for i, lv in enumerate(prev_levels) if lv <= cap],
+                [{i: 1} for i, lv in enumerate(prev_levels) if lv <= cap],
             )
             cols.append(_random_vector_in(field, rng, intersect(ker, allowed)))
         m = Matrix.from_column_dicts(field, dims[n - 1], cols)

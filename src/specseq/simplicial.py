@@ -73,8 +73,7 @@ def _boundary_matrix(s, field, k):
     for j, face in enumerate(cols):
         for l in range(len(face)):
             sub = face[:l] + face[l + 1 :]
-            sign = field.element(-1 if l % 2 else 1)
-            entries[(rows[sub], j)] = sign
+            entries[(rows[sub], j)] = -1 if l % 2 else 1
     return Matrix(field, len(rows), len(cols), entries)
 
 
@@ -107,7 +106,7 @@ def inclusion_map(sub, sup, field, reduced=True):
         rows = {f: i for i, f in enumerate(sup.faces(k))}
         entries = {}
         for j, face in enumerate(sub.faces(k)):
-            entries[(rows[face], j)] = field.one
+            entries[(rows[face], j)] = 1
         comps[k] = Matrix(field, len(rows), len(sub.faces(k)), entries)
     return ChainMap(src, tgt, comps, validate=False)
 

@@ -1,3 +1,5 @@
+import doctest
+import operator
 import random
 from fractions import Fraction
 
@@ -5,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import specseq.fields
 from specseq.errors import DivisionByZero, MixedFields, ParseError
-from specseq.fields import QQ, PrimeField, parse_field_token
+from specseq.fields import QQ, FieldElement, PrimeField, parse_field_token
 
 
 def test_rational_literals():
@@ -123,3 +126,42 @@ def test_random_element_is_seeded():
     assert any(v for v in first)
     q_vals = [QQ.random_element(random.Random(4)) for _ in range(10)]
     assert any(v for v in q_vals)
+
+
+def test_elements_accept_raw_scalars_of_their_own_field():
+    half = Fraction(1, 2)
+    for product in (QQ.element(2) * half, half * QQ.element(2)):
+        assert isinstance(product, FieldElement)
+        assert product == QQ.one and type(product.value) is int
+    assert QQ.element(1) == Fraction(1) and Fraction(1) == QQ.element(1)
+    assert QQ.element(1) == 1 and QQ.element(half) != 1
+    assert QQ.element(1) - half == half and 1 - QQ.element(half) == half
+    assert QQ.element(half) + half == 1 and half + QQ.element(half) == 1
+    assert QQ.element(1) / half == 2 and 1 / QQ.element(2) == half
+    f = PrimeField(7)
+    assert f.element(3) * 5 == 1 and 5 * f.element(3) == 1
+    assert f.element(3) == 10 and 10 == f.element(3)
+    assert f.element(3) + 4 == 0 and 4 - f.element(3) == 1
+    assert 1 / f.element(3) == 5 and f.element(3) / 3 == 1
+    # a Fraction is not a scalar of F_7
+    assert f.element(1) != Fraction(1)
+    with pytest.raises(TypeError):
+        f.element(1) * half
+
+
+def test_mixed_fields_still_raise_with_raw_scalars_around():
+    f = PrimeField(7)
+    for a, b in ((QQ.element(1), f.element(1)), (f.element(1), QQ.element(1))):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(MixedFields):
+                op(a, b)
+    with pytest.raises(MixedFields):
+        f.scalar(QQ.element(Fraction(1, 2)))
+    assert f.scalar(f.element(9)) == 2
+    assert type(QQ.scalar(Fraction(4, 2))) is int
+
+
+def test_fields_module_doctest():
+    result = doctest.testmod(specseq.fields)
+    assert result.failed == 0
+    assert result.attempted > 0

@@ -51,6 +51,16 @@ def test_parse_and_render_poly():
     assert render_poly(prod, ["x", "y"]) == "2*x^3 - 6*x^2*y + 2*x*y^2"
 
 
+def test_prime_field_polynomials_store_residues():
+    f = PrimeField(7)
+    # x + 6x cancels only modulo 7
+    p = parse_poly(f, 2, "x + 6*x - 3*y", names=["x", "y"])
+    assert p == {(0, 1): 4}
+    q = parse_poly(f, 2, "3*x + 5*y", names=["x", "y"])
+    assert poly_mul(q, q, 7) == {(2, 0): 2, (1, 1): 2, (0, 2): 4}
+    assert all(type(c) is int for c in p.values())
+
+
 def test_parse_poly_errors():
     with pytest.raises(ParseError):
         parse_poly(QQ, 2, "x +", names=["x", "y"])

@@ -117,7 +117,7 @@ def test_echelon_and_kernel_ignore_column_order_and_scale(token, rows, cols):
     # column k of moved is scales[k] times column order[k] of m, so x lies in
     # kernel(moved) exactly when sum_k x_k scales[k] e_order[k] lies in kernel(m)
     back = [
-        {order[k]: scales[k] * v for k, v in col.items()}
+        {order[k]: (scales[k] * v).value for k, v in col.items()}
         for col in kernel(moved).basis_columns
     ]
     assert Subspace.spanned_by_columns(field, cols, back) == kernel(m)
@@ -145,7 +145,7 @@ def test_reduce_recombines_to_the_vector():
             assert len(coords) == s.dim
             assert residual == s.residual(vec)
             assert not any(pr in residual for pr in s.pivots)
-            total = dict(residual)
+            total = {i: field.element(v) for i, v in residual.items()}
             for c, col in zip(coords, s.basis_columns):
                 for i, v in col.items():
                     total[i] = total.get(i, field.zero) + c * v
@@ -276,13 +276,13 @@ def test_quotient_dims_and_linearity():
                 cb = q.coordinates(b)
                 ab = dict(a)
                 for i, val in b.items():
-                    s = ab.get(i, field.zero) + val
+                    s = field.scalar(ab.get(i, 0) + val)
                     if s:
                         ab[i] = s
                     else:
                         ab.pop(i, None)
                 cab = q.coordinates(ab)
-                assert cab == [x + y for x, y in zip(ca, cb)]
+                assert cab == [field.scalar(x + y) for x, y in zip(ca, cb)]
 
 
 def test_induced_map_literal():
@@ -388,18 +388,28 @@ def test_engine_matches_sympy(token, rows, cols, density):
     assert kernel(m).dim == cols - r
 
 
+def _stored_residues(values, p):
+    """Stored scalars mod p are nonzero ints in [1, p), never FieldElements."""
+    return all(type(v) is int and 0 < v < p for v in values)
+
+
+def _plain_entries(table, p):
+    return {
+        (i, j): v % p for i, row in enumerate(table) for j, v in enumerate(row) if v % p
+    }
+
+
 def test_chunked_products_at_the_largest_modulus():
     # entries near p - 1 with p just under 2^31: residue products near 2^62
-    # must be reduced mod p after every update of the sparse engine
+    # must be reduced mod p after every update of the sparse engine; the
+    # stored values are read directly, because Matrix.entry re-normalizes
     p = 2147483647
     f = PrimeField(p)
     rng = random.Random(71)
-    a = Matrix.from_rows(
-        f, [[rng.randrange(p - 5, p) for _ in range(40)] for _ in range(6)]
-    )
-    b = Matrix.from_rows(
-        f, [[rng.randrange(p - 5, p) for _ in range(5)] for _ in range(40)]
-    )
+    rows_a = [[rng.randrange(p - 5, p) for _ in range(40)] for _ in range(6)]
+    rows_b = [[rng.randrange(p - 5, p) for _ in range(5)] for _ in range(40)]
+    rows_a2 = [[rng.randrange(p - 5, p) for _ in range(40)] for _ in range(6)]
+    a, b, a2 = (Matrix.from_rows(f, rows) for rows in (rows_a, rows_b, rows_a2))
     exact = a @ b
     s = image(b)
     pushed = apply_to_subspace(a, s)
@@ -410,6 +420,57 @@ def test_chunked_products_at_the_largest_modulus():
     assert exact.entry(0, 0).value == sum(
         a.entry(0, k).value * b.entry(k, 0).value for k in range(40)
     ) % p
+    product = [
+        [sum(rows_a[i][k] * rows_b[k][j] for k in range(40)) for j in range(5)]
+        for i in range(6)
+    ]
+    assert exact.entries == _plain_entries(product, p)
+    plus = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(rows_a, rows_a2)]
+    minus = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(rows_a, rows_a2)]
+    assert (a + a2).entries == _plain_entries(plus, p)
+    assert (a - a2).entries == _plain_entries(minus, p)
+    assert (a - a).entries == {}
+    assert a.scale(p - 3).entries == _plain_entries([[-3 * x for x in r] for r in rows_a], p)
+    assert a.scale(f.element(-3)) == a.scale(p - 3)
+    vecs = [{k: rng.randrange(p - 5, p) for k in rng.sample(range(40), 7)} for _ in range(4)]
+    for vec, img in zip(vecs, a.apply_all(vecs)):
+        expected = {i: sum(rows_a[i][k] * v for k, v in vec.items()) % p for i in range(6)}
+        assert img == {i: v for i, v in expected.items() if v}
+    for sub in (s, pushed):
+        for col in sub.basis_columns:
+            assert _stored_residues(col.values(), p)
+
+    # the combination r1 e0 - r0 e1 of the basis {ei + ri e6} of u cancels in
+    # row 6 only modulo p, so intersect must reduce the vectors it builds
+    r = [rng.randrange(p - 5, p) for _ in range(6)]
+    u = Subspace.spanned_by_columns(f, 7, [{i: 1, 6: r[i]} for i in range(6)])
+    w = Subspace.spanned_by_columns(f, 7, [{0: r[1], 1: p - r[0]}, {2: r[3], 3: p - r[2]}])
+    cap = intersect(u, w)
+    assert cap == w and cap.dim == 2
+    for col in cap.basis_columns + u.basis_columns + w.basis_columns:
+        assert _stored_residues(col.values(), p)
+
+    m = Matrix.from_rows(f, [[rng.randrange(p - 5, p) for _ in range(7)] for _ in range(5)])
+    spanning = [[rng.randrange(p - 5, p) for _ in range(2)] for _ in range(5)]
+    target = image(Matrix.from_rows(f, spanning))
+    pre = preimage(m, target)
+    assert pre.dim == kernel(m).dim + intersect(image(m), target).dim == 4
+    for col in pre.basis_columns:
+        assert _stored_residues(col.values(), p)
+        assert target.contains_vector(m.apply(col))
+
+    q = quotient(u, w)
+    for _ in range(3):
+        x = [rng.randrange(p - 5, p) for _ in range(6)]
+        vec = dict(enumerate(x))
+        vec[6] = sum(xk * rk for xk, rk in zip(x, r)) % p
+        coords = q.coordinates(vec)
+        assert all(type(c) is int and 0 <= c < p for c in coords)
+        rest = dict(vec)
+        for c, rep in zip(coords, q.rep_columns):
+            for k, v in rep.items():
+                rest[k] = (rest.get(k, 0) - c * v) % p
+        assert w.contains_vector({k: v for k, v in rest.items() if v})
 
 
 def test_machine_matrix_round_trip():

@@ -1,8 +1,9 @@
-"""Print one sha256 over a fixed set of exact results, to compare two versions.
+"""Print two sha256 lines over fixed sets of exact results, to compare two versions.
 
-Usage: python3 scripts/canonical_dump.py
+Usage: python3 scripts/canonical_dump.py    (imports tests/test_spectral.py,
+so pytest must be importable)
 
-The hash covers:
+The first hash covers:
   - the stdout and exit code of every bundled scenario, with its own field,
     with --field QQ and with --field F101, each with and without --machine;
   - every page entry (representatives, pivots, relations), page map and
@@ -10,6 +11,12 @@ The hash covers:
     F2147483647;
   - echelon forms, kernels, images, intersections, preimages and quotient
     coordinates of seeded random matrices over the same fields.
+
+The second hash covers every page entry, page map and limit row of the same
+seeded random filtrations moved by a random unitriangular change of basis
+(`change_of_basis` in tests/test_spectral.py), 25 each over the four fields.
+Their layers are in general not spanned by basis vectors, so this line
+covers the generic preimage-and-intersect route to the cycle spaces.
 
 Two versions that print the same hash computed the same bytes for all of
 it, so a change meant to leave the answers alone can be checked in one run.
@@ -36,7 +43,10 @@ from specseq.linalg import (
 from specseq.randomized import random_filtered_complex
 from specseq.spectral import SpectralSequence
 
-SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
+sys.path.insert(0, str(ROOT / "tests"))
+from test_spectral import change_of_basis  # noqa: E402
 FIELDS = ("QQ", "F2", "F101", "F2147483647")
 
 
@@ -64,8 +74,21 @@ def scenario_lines():
 def filtration_lines(token, seed):
     field = parse_field_token(token)
     fc, levels = random_filtered_complex(field, random.Random(seed))
-    ss = SpectralSequence(fc)
     yield f"filtration {token} {seed} levels {sorted(levels.items())}"
+    yield from spectral_lines(fc)
+
+
+def moved_filtration_lines(token, seed):
+    field = parse_field_token(token)
+    rng = random.Random(seed)
+    fc, levels = random_filtered_complex(field, rng)
+    yield f"moved {token} {seed} levels {sorted(levels.items())}"
+    yield from spectral_lines(change_of_basis(fc, rng))
+
+
+def spectral_lines(fc):
+    field = fc.ambient.field
+    ss = SpectralSequence(fc)
     for r in range(1, ss.r_star + 1):
         page = ss.page(r)
         for pos, pres in sorted(page.entries.items()):
@@ -118,6 +141,12 @@ def main():
             for line in matrix_lines(token, seed):
                 digest.update(line.encode() + b"\n")
     print(digest.hexdigest())
+    moved = hashlib.sha256()
+    for token in FIELDS:
+        for seed in range(25):
+            for line in moved_filtration_lines(token, seed):
+                moved.update(line.encode() + b"\n")
+    print(moved.hexdigest())
     return 0
 
 

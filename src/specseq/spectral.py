@@ -8,20 +8,22 @@ on first use.  The cycle spaces
 
 only depend on the clamped pair of filtration indices, so the memo key
 clamps both into [p_min - 1, p_max]; stabilization beyond the filtration
-width then falls out of the key arithmetic.  Page entries are the standard
-subquotients
+width then falls out of the key arithmetic.  For coordinate layers, whose
+basis columns are all unit vectors, Z^r(p, q) = ker(d restricted to the
+columns of F_p and the rows outside F_{p-r}): one kernel in place of a
+preimage and an intersection.  Page entries are the standard subquotients
 
     E^r(p, q) = Z^r(p, q) / (Z^{r-1}(p-1, q+1) + d Z^{r-1}(p+r-1, q-r+2)),
 
 and page maps are induced by the ambient differential on representatives.
-The memo table tolerates concurrent readers; distinct keys may be computed
-in parallel and duplicated work is discarded by a locked setdefault.
+`limit_comparison` keeps to kernel, image, intersect and subspace_sum: its
+E^inf check shares no code with the coordinate kernel.  The memo tables take
+no lock; dict.setdefault, atomic under the GIL, keeps the first value stored.
 """
-
-import threading
 
 from .errors import ComparisonFailure
 from .linalg import (
+    Matrix,
     Subspace,
     apply_to_subspace,
     image,
@@ -104,12 +106,27 @@ class LimitReport:
         return "\n".join(out)
 
 
+def _coordinate_cycles(d, cols, dropped):
+    """Kernel of d on the unit vectors at cols, with the rows in dropped ignored.
+
+    Kernel index k lifts to cols[k]; cols increases, so the lifted basis is
+    still the reduced column echelon form of the same subspace.
+    """
+    index = {j: k for k, j in enumerate(cols)}
+    restricted = Matrix(d.field, d.rows, len(cols))
+    restricted.entries = {
+        (i, index[j]): v for (i, j), v in d.entries.items() if j in index and i not in dropped
+    }
+    ker = kernel(restricted)
+    lifted = [{cols[k]: v for k, v in c.items()} for c in ker.basis_columns]
+    return Subspace(d.field, d.cols, lifted, [cols[k] for k in ker.pivots])
+
+
 class SpectralSequence:
-    __slots__ = ("source", "_lock", "_cycles", "_entries", "_diffs")
+    __slots__ = ("source", "_cycles", "_entries", "_diffs")
 
     def __init__(self, source):
         self.source = source
-        self._lock = threading.Lock()
         self._cycles = {}
         self._entries = {}
         self._diffs = {}
@@ -120,12 +137,9 @@ class SpectralSequence:
         return self.source.p_max - self.source.p_min + 2
 
     def _memo(self, table, key, compute):
-        with self._lock:
-            if key in table:
-                return table[key]
-        value = compute()
-        with self._lock:
-            return table.setdefault(key, value)
+        if key in table:
+            return table[key]
+        return table.setdefault(key, compute())
 
     # -- cycle subspaces ----------------------------------------------------
 
@@ -151,6 +165,8 @@ class SpectralSequence:
         d = fc.ambient.diff(n)
         if target.is_full or d.is_zero:
             return top
+        if all(len(c) == 1 for c in top.basis_columns + target.basis_columns):
+            return _coordinate_cycles(d, top.pivots, set(target.pivots))
         pre = preimage(d, target)
         if pre.is_full:
             return top

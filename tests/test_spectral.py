@@ -3,12 +3,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from specseq import spectral
 from specseq.complexes import ChainComplex, homology_rank
 from specseq.errors import ComparisonFailure
 from specseq.fields import QQ, PrimeField
-from specseq.filtration import from_simplicial
+from specseq.filtration import FilteredComplex, from_simplicial
 from specseq.linalg import (
     Matrix,
+    apply_to_subspace,
     image,
     intersect,
     kernel,
@@ -20,6 +22,7 @@ from specseq.simplicial import SimplicialComplex
 from specseq.spectral import SpectralSequence
 
 F101 = PrimeField(101)
+FIELDS = (QQ, PrimeField(2), F101, PrimeField(2147483647))
 
 
 def nested_filtration(field=QQ):
@@ -223,3 +226,82 @@ def test_memo_is_thread_safe_and_deterministic():
         list(pool.map(lambda j: concurrent.entry(*j), jobs))
     for r, dims in pages.items():
         assert concurrent.page(r).dims() == dims
+
+
+def change_of_basis(fc, rng):
+    """An isomorphic copy of fc whose layers are in general not coordinate.
+
+    Each term moves by a random unitriangular g_n = 1 + N_n (N_n strictly
+    upper triangular, so g_n^-1 = 1 - N_n + N_n^2 - ...):
+    d'_n = g_{n-1} d_n g_n^-1 and layer'(p, n) = g_n(layer(p, n)).
+    """
+    amb = fc.ambient
+    field = amb.field
+    g, g_inv = {}, {}
+    for n in amb.degrees():
+        dim = amb.dim(n)
+        one = Matrix.identity(field, dim)
+        nil = Matrix(
+            field, dim, dim,
+            {(i, j): field.random_element(rng) for j in range(dim) for i in range(j)},
+        )
+        g[n], g_inv[n], power = one + nil, one, one
+        for _ in range(dim):
+            power = -(power @ nil)
+            g_inv[n] = g_inv[n] + power
+    labels = {n: amb.term_labels(n) for n in amb.degrees()}
+    diffs = {n: g[n - 1] @ amb.diff(n) @ g_inv[n] for n in amb.degrees() if n - 1 in g}
+    layers = {
+        p: {n: apply_to_subspace(g[n], fc.layer(p, n)) for n in amb.degrees()}
+        for p in fc.p_range
+    }
+    return FilteredComplex(ChainComplex(field, labels, diffs), layers)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_coordinate_cycles_match_generic_path(field, monkeypatch):
+    # coordinate layers never reach preimage; the generic subspace is
+    # recomputed here with the linalg functions themselves
+    def no_preimage(m, w):
+        raise AssertionError("coordinate layers took the preimage path")
+
+    monkeypatch.setattr(spectral, "preimage", no_preimage)
+    inputs = [nested_filtration(field)]
+    inputs += [random_filtered_complex(field, random.Random(s))[0] for s in range(6)]
+    for fc in inputs:
+        ss = SpectralSequence(fc)
+        amb = fc.ambient
+        for r in range(1, ss.r_star + 1):
+            for p in range(fc.p_min - 1, fc.p_max + 2):
+                for n in amb.degrees():
+                    generic = intersect(
+                        fc.layer(p, n), preimage(amb.diff(n), fc.layer(p - r, n - 1))
+                    )
+                    got = ss.cycles(r, p, n - p)
+                    assert got.pivots == generic.pivots
+                    assert got.basis_columns == generic.basis_columns
+
+
+@pytest.mark.parametrize("field", (QQ, F101), ids=str)
+def test_generic_cycles_on_non_coordinate_layers(field, monkeypatch):
+    calls = []
+    real = spectral.preimage
+    monkeypatch.setattr(
+        spectral, "preimage", lambda m, w: calls.append(w) or real(m, w)
+    )
+    non_coordinate = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        fc, _ = random_filtered_complex(field, rng)
+        moved = change_of_basis(fc, rng)
+        non_coordinate += sum(
+            any(len(c) > 1 for c in moved.layer(p, n).basis_columns)
+            for p in moved.p_range
+            for n in moved.ambient.degrees()
+        )
+        ss, ss_moved = SpectralSequence(fc), SpectralSequence(moved)
+        for r in range(1, ss.r_star + 1):
+            assert ss_moved.page(r).dims() == ss.page(r).dims()
+        assert ss_moved.limit_comparison().ok
+    assert non_coordinate
+    assert calls

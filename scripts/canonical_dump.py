@@ -1,4 +1,4 @@
-"""Print two sha256 lines over fixed sets of exact results, to compare two versions.
+"""Print three sha256 lines over fixed sets of exact results, to compare two versions.
 
 Usage: python3 scripts/canonical_dump.py    (imports tests/test_spectral.py,
 so pytest must be importable)
@@ -18,6 +18,16 @@ seeded random filtrations moved by a random unitriangular change of basis
 Their layers are in general not spanned by basis vectors, so this line
 covers the generic preimage-and-intersect route to the cycle spaces.
 
+The third hash covers the tensor and Hom builders, over the four fields:
+  - `render_complex` of `tensor` and `hom_complex` of seeded random
+    complexes, shifted so that odd and negative degrees appear;
+  - `render_filtered` and every page entry, page map and limit row of both
+    tensor filtrations and of the Hom filtration, with the filtered factor
+    as generated and moved by `change_of_basis`;
+  - the stdout and exit code of `cli.run` on `build tensor`,
+    `build tensor-mirrored` and `build hom` scenarios written from the same
+    factors, with and without --machine.
+
 Two versions that print the same hash computed the same bytes for all of
 it, so a change meant to leave the answers alone can be checked in one run.
 """
@@ -29,7 +39,9 @@ import random
 import sys
 
 from specseq import cli
+from specseq.complexes import hom_complex, render_complex, shift, tensor
 from specseq.fields import parse_field_token
+from specseq.filtration import hom_filtration, render_filtered, tensor_filtration
 from specseq.linalg import (
     Matrix,
     echelonize,
@@ -40,7 +52,7 @@ from specseq.linalg import (
     quotient,
     render_matrix_machine,
 )
-from specseq.randomized import random_filtered_complex
+from specseq.randomized import random_chain_complex, random_filtered_complex
 from specseq.spectral import SpectralSequence
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -101,6 +113,40 @@ def spectral_lines(fc):
     yield from (str(row) for row in ss.limit_comparison(strict=False).rows)
 
 
+PRODUCT_QUERIES = "queries\npage 1\npage 2\ninfinity\ncompare\nend-queries\n"
+
+
+def product_lines(token, seed):
+    field = parse_field_token(token)
+    rng = random.Random(seed)
+    c = shift(random_chain_complex(field, rng, top_degree=2, max_dim=3), rng.randint(-3, 1))
+    d = shift(random_chain_complex(field, rng, top_degree=2, max_dim=3), rng.randint(-2, 2))
+    yield f"product {token} {seed}"
+    yield render_complex(tensor(c, d))
+    yield render_complex(hom_complex(c, d))
+    fd, levels = random_filtered_complex(field, rng, top_degree=2, max_dim=3, max_width=3)
+    yield f"levels {sorted(levels.items())}"
+    for factor in (fd, change_of_basis(fd, rng)):
+        builds = (
+            ("tensor", tensor_filtration(c, factor), (c, factor)),
+            ("tensor-mirrored", tensor_filtration(factor, c), (factor, c)),
+            ("hom", hom_filtration(c, factor), (c, factor)),
+        )
+        for kind, fc, args in builds:
+            yield f"build {kind}"
+            yield render_filtered(fc)
+            yield from spectral_lines(fc)
+            body = "\n".join(
+                render_complex(x) if x is c else render_filtered(x) for x in args
+            )
+            text = f"field {token}\nbuild {kind}\n{body}\nend-build\n{PRODUCT_QUERIES}"
+            for machine in (False, True):
+                buf = io.StringIO()
+                code = cli.run(text, machine=machine, out=buf)
+                yield f"run {kind} {machine} exit {code}"
+                yield buf.getvalue()
+
+
 def random_matrix(field, rng, rows, cols, density):
     entries = {}
     for i in range(rows):
@@ -147,6 +193,12 @@ def main():
             for line in moved_filtration_lines(token, seed):
                 moved.update(line.encode() + b"\n")
     print(moved.hexdigest())
+    products = hashlib.sha256()
+    for token in FIELDS:
+        for seed in range(8):
+            for line in product_lines(token, seed):
+                products.update(line.encode() + b"\n")
+    print(products.hexdigest())
     return 0
 
 

@@ -5,13 +5,23 @@ basis of opaque hashable labels.  Differentials drop degree by one and are
 checked to compose to zero.  Tensor products follow the Koszul sign rule
 (the sign (-1)^i rides on the second factor's differential), and Hom
 complexes use d(f) = d o f - (-1)^n f o d.
+
+Block layout, shared by tensor, hom_complex and the filtrations built on
+them: (c tensor d)_n is the sum of the blocks c_i tensor d_j with j = n - i,
+and Hom(c, d)_n that of the blocks Hom(c_i, d_j) with j = i + n.  Blocks
+with a zero factor are left out; the rest are stacked by increasing i.  In
+the block (i, j) at offset start, basis vector a tensor b has label (i, a, b)
+and index start + a * dim d_j + b; for Hom it is the matrix unit sending
+basis vector a of c_i to basis vector b of d_j.  On this layout the tensor
+differential is d_c tensor 1 + (-1)^i 1 tensor d_d and the Hom differential
+1 tensor d_d - (-1)^n (d_c)^T tensor 1, each built block by block from
+Kronecker products.
 """
 
 from .errors import AmbientMismatch, MixedFields, NotAComplex, ParseError
 from .fields import parse_field_token
 from .linalg import (
     Matrix,
-    _add_multiple,
     image,
     kernel,
     parse_matrix_machine,
@@ -159,127 +169,96 @@ def shift(c, s):
     return ChainComplex(c.field, labels, diffs, validate=False)
 
 
-def _tensor_layout(c, d, n):
-    """Block starts for (c tensor d)_n, ordered by increasing c-degree."""
-    layout = []
-    base = 0
+def _blocks(c, d, n, hom=False):
+    """The blocks (i, j, start) of (c tensor d)_n, or of Hom(c, d)_n when hom is set."""
+    out = []
+    start = 0
     for i in range(c.lo, c.hi + 1):
-        j = n - i
-        di, dj = c.dim(i), d.dim(j)
-        if di and dj:
-            layout.append((i, j, base))
-            base += di * dj
-    return layout, base
+        j = i + n if hom else n - i
+        if c.dim(i) and d.dim(j):
+            out.append((i, j, start))
+            start += c.dim(i) * d.dim(j)
+    return out
+
+
+def _kron(u, v, v_dim, start):
+    """Columns of u tensor v, u major, for v of height v_dim, shifted by start.
+
+    One factor is a list of columns and the other an int k, standing for the
+    identity of size k, so every value is copied and none is multiplied.
+    """
+    if isinstance(u, int):
+        return [{start + a * v_dim + b: y for b, y in col.items()} for a in range(u) for col in v]
+    return [{start + a * v_dim + b: x for a, x in col.items()} for col in u for b in range(v)]
+
+
+def _signed_columns(m):
+    """The columns of m and of -m: entry s holds those of (-1)^s m."""
+    return m.column_dicts(), (-m).column_dicts()
+
+
+def _product_complex(c, d, degrees, hom, terms):
+    """The product complex: labels (i, a, b) per block, differentials from Kronecker terms.
+
+    terms(n, i, j) yields, for the source block (i, j) of degree n, the
+    nonzero terms as tuples (i', u, v, v_dim), with u, v, v_dim as _kron takes
+    them: u tensor v lands in the block of degree n - 1 whose first index is
+    i'.  Entries are copies of the factors' raw values, so they are stored as
+    they are.
+    """
+    blocks = {n: _blocks(c, d, n, hom) for n in degrees}
+    labels = {}
+    for n, layout in blocks.items():
+        labs = [
+            (i, a, b)
+            for i, j, _ in layout
+            for a in c.term_labels(i)
+            for b in d.term_labels(j)
+        ]
+        if labs:
+            labels[n] = labs
+    diffs = {}
+    for n in labels:
+        target = {i: start for i, _, start in blocks.get(n - 1, ())}
+        m = Matrix(c.field, len(labels.get(n - 1, ())), len(labels[n]))
+        for i, j, start in blocks[n]:
+            for ti, u, v, v_dim in terms(n, i, j):
+                for k, col in enumerate(_kron(u, v, v_dim, target[ti]), start):
+                    for r, x in col.items():
+                        m.entries[(r, k)] = x
+        diffs[n] = m
+    return ChainComplex(c.field, labels, diffs)
 
 
 def tensor(c, d):
     if c.field != d.field:
         raise MixedFields("tensor across fields")
-    field = c.field
-    if c.is_zero or d.is_zero:
-        return ChainComplex(field, {})
-    labels = {}
-    layouts = {}
-    for n in range(c.lo + d.lo, c.hi + d.hi + 1):
-        layout, total = _tensor_layout(c, d, n)
-        layouts[n] = {i: base for i, _, base in layout}
-        if not total:
-            continue
-        labs = []
-        for i, j, _ in layout:
-            for a in c.term_labels(i):
-                for b in d.term_labels(j):
-                    labs.append((i, a, b))
-        labels[n] = labs
-    diffs = {}
-    p = field.characteristic
-    c_cols = {i: c.diff(i).column_dicts() for i in c.degrees()}
-    d_cols = {j: d.diff(j).column_dicts() for j in d.degrees()}
-    for n in labels:
-        entries = {}
-        prev = layouts.get(n - 1, {})
-        for i, j, base in _tensor_layout(c, d, n)[0]:
-            di, dj = c.dim(i), d.dim(j)
-            sign = -1 if i % 2 else 1
-            for ai in range(di):
-                ccol = c_cols[i][ai] if c.dim(i - 1) else {}
-                for bj in range(dj):
-                    src = base + ai * dj + bj
-                    if i - 1 in prev and c.dim(i - 1):
-                        tbase = prev[i - 1]
-                        for a2, v in ccol.items():
-                            entries[(tbase + a2 * dj + bj, src)] = v
-                    if i in prev and d.dim(j - 1):
-                        tbase = prev[i] + ai * d.dim(j - 1)
-                        col = {(tbase + b2, src): w for b2, w in d_cols[j][bj].items()}
-                        _add_multiple(entries, sign, col, p)
-        if entries:
-            rows = len(labels.get(n - 1, ()))
-            diffs[n] = Matrix(field, rows, len(labels[n]), entries)
-    return ChainComplex(field, labels, diffs)
+    dc = {i: m.column_dicts() for i, m in c._diffs.items()}
+    dd = {j: _signed_columns(m) for j, m in d._diffs.items()}
 
+    def terms(n, i, j):
+        if i in dc:
+            yield i - 1, dc[i], d.dim(j), d.dim(j)
+        if j in dd:
+            yield i, c.dim(i), dd[j][i % 2], d.dim(j - 1)
 
-def _hom_layout(c, d, n):
-    layout = []
-    base = 0
-    for i in range(c.lo, c.hi + 1):
-        di, dj = c.dim(i), d.dim(i + n)
-        if di and dj:
-            layout.append((i, base))
-            base += di * dj
-    return layout, base
+    return _product_complex(c, d, range(c.lo + d.lo, c.hi + d.hi + 1), False, terms)
 
 
 def hom_complex(c, d):
     """Hom(c, d) with matrix-unit basis labels (i, a, b); requires bounded inputs."""
     if c.field != d.field:
         raise MixedFields("Hom across fields")
-    field = c.field
-    if c.is_zero or d.is_zero:
-        return ChainComplex(field, {})
-    labels = {}
-    for n in range(d.lo - c.hi, d.hi - c.lo + 1):
-        layout, total = _hom_layout(c, d, n)
-        if not total:
-            continue
-        labs = []
-        for i, _ in layout:
-            for a in c.term_labels(i):
-                for b in d.term_labels(i + n):
-                    labs.append((i, a, b))
-        labels[n] = labs
-    diffs = {}
-    for n in labels:
-        entries = {}
-        prev_layout, prev_total = _hom_layout(c, d, n - 1)
-        if not prev_total:
-            continue
-        prev = {i: base for i, base in prev_layout}
-        sign = -1 if n % 2 else 1
-        p = field.characteristic
-        for i, base in _hom_layout(c, d, n)[0]:
-            di, dj = c.dim(i), d.dim(i + n)
-            dd_cols = d.diff(i + n).column_dicts() if d.dim(i + n - 1) else None
-            dc = c.diff(i + 1)
-            for ai in range(di):
-                for bj in range(dj):
-                    src = base + ai * dj + bj
-                    if i in prev and dd_cols is not None:
-                        tbase = prev[i]
-                        dj1 = d.dim(i + n - 1)
-                        for b2, w in dd_cols[bj].items():
-                            entries[(tbase + ai * dj1 + b2, src)] = w
-                    if i + 1 in prev and c.dim(i + 1):
-                        tbase = prev[i + 1]
-                        col = {
-                            (tbase + k * dj + bj, src): alpha
-                            for (row, k), alpha in dc.entries.items()
-                            if row == ai
-                        }
-                        _add_multiple(entries, -sign, col, p)
-        if entries:
-            diffs[n] = Matrix(field, len(labels.get(n - 1, ())), len(labels[n]), entries)
-    return ChainComplex(field, labels, diffs)
+    dd = {j: m.column_dicts() for j, m in d._diffs.items()}
+    dc_rows = {i - 1: _signed_columns(m.transpose()) for i, m in c._diffs.items()}
+
+    def terms(n, i, j):
+        if j in dd:
+            yield i, c.dim(i), dd[j], d.dim(j - 1)
+        if i in dc_rows:
+            yield i + 1, dc_rows[i][(n + 1) % 2], d.dim(j), d.dim(j)
+
+    return _product_complex(c, d, range(d.lo - c.hi, d.hi - c.lo + 1), True, terms)
 
 
 # ---------------------------------------------------------------------------

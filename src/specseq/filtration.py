@@ -7,9 +7,9 @@ the zero and full subspaces, which keeps boundary arithmetic in the
 spectral sequence uniform.
 """
 
-from .complexes import ChainComplex, hom_complex, tensor
+from .complexes import _blocks, _kron, hom_complex, tensor
 from .errors import MixedFields, NotNested, ParseError
-from .linalg import Matrix, Subspace, image, parse_matrix_machine, render_matrix_machine
+from .linalg import Subspace, image, parse_matrix_machine, render_matrix_machine
 
 
 class FilteredComplex:
@@ -167,8 +167,26 @@ def truncation_filtration(c):
     return FilteredComplex(c, layers, validate=False)
 
 
-def _block_embed(columns, offset):
-    return [{offset + r: v for r, v in col.items()} for col in columns]
+def _product_filtration(ambient, c, d, fd, mirrored, hom=False):
+    """The filtration of the tensor (or, with hom set, Hom) ambient of c and d.
+
+    fd filters c when mirrored is set and d otherwise; block (i, j) of
+    layer(p, n) is layer(p, i) (x) d_j or c_i (x) layer(p, j).
+    """
+    blocks = {n: _blocks(c, d, n, hom) for n in ambient.degrees()}
+    layers = {}
+    for p in fd.p_range:
+        per = {}
+        for n, layout in blocks.items():
+            cols = []
+            for i, j, start in layout:
+                if mirrored:
+                    cols += _kron(fd.layer(p, i).basis_columns, d.dim(j), d.dim(j), start)
+                else:
+                    cols += _kron(c.dim(i), fd.layer(p, j).basis_columns, d.dim(j), start)
+            per[n] = Subspace.spanned_by_columns(ambient.field, ambient.dim(n), cols)
+        layers[p] = per
+    return FilteredComplex(ambient, layers)
 
 
 def tensor_filtration(a, b):
@@ -182,40 +200,10 @@ def tensor_filtration(a, b):
         raise TypeError("exactly one tensor factor must be filtered")
     mirrored = isinstance(a, FilteredComplex)
     fd = a if mirrored else b
-    plain = b if mirrored else a
-    if plain.field != fd.ambient.field:
+    c, d = (a.ambient, b) if mirrored else (a, b.ambient)
+    if c.field != d.field:
         raise MixedFields("tensor factors over different fields")
-    field = plain.field
-    c, d = (fd.ambient, plain) if mirrored else (plain, fd.ambient)
-    ambient = tensor(c, d)
-    layers = {}
-    for p in fd.p_range:
-        per = {}
-        for n in ambient.degrees():
-            cols = []
-            base = 0
-            for i in range(c.lo, c.hi + 1):
-                j = n - i
-                di, dj = c.dim(i), d.dim(j)
-                if not (di and dj):
-                    continue
-                if mirrored:
-                    sub = fd.layer(p, i)
-                    for w in sub.basis_columns:
-                        for bidx in range(dj):
-                            cols.append(
-                                {base + r * dj + bidx: v for r, v in w.items()}
-                            )
-                else:
-                    sub = fd.layer(p, j)
-                    for aidx in range(di):
-                        cols.extend(
-                            _block_embed(sub.basis_columns, base + aidx * dj)
-                        )
-                base += di * dj
-            per[n] = Subspace.spanned_by_columns(field, ambient.dim(n), cols)
-        layers[p] = per
-    return FilteredComplex(ambient, layers)
+    return _product_filtration(tensor(c, d), c, d, fd, mirrored)
 
 
 def hom_filtration(c, fd):
@@ -224,26 +212,7 @@ def hom_filtration(c, fd):
         raise TypeError("second argument must be filtered")
     if c.field != fd.ambient.field:
         raise MixedFields("Hom arguments over different fields")
-    field = c.field
-    d = fd.ambient
-    ambient = hom_complex(c, d)
-    layers = {}
-    for p in fd.p_range:
-        per = {}
-        for n in ambient.degrees():
-            cols = []
-            base = 0
-            for i in range(c.lo, c.hi + 1):
-                di, dj = c.dim(i), d.dim(i + n)
-                if not (di and dj):
-                    continue
-                sub = fd.layer(p, i + n)
-                for aidx in range(di):
-                    cols.extend(_block_embed(sub.basis_columns, base + aidx * dj))
-                base += di * dj
-            per[n] = Subspace.spanned_by_columns(field, ambient.dim(n), cols)
-        layers[p] = per
-    return FilteredComplex(ambient, layers)
+    return _product_filtration(hom_complex(c, fd.ambient), c, fd.ambient, fd, False, hom=True)
 
 
 def from_basis_levels(ambient, levels, validate=True):

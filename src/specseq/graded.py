@@ -15,7 +15,6 @@ first monomial.
 """
 
 from collections import namedtuple
-from math import comb
 
 from .complexes import ChainComplex
 from .errors import NotFiniteDimensional, ParseError
@@ -421,9 +420,8 @@ class GradedModuleMap:
         for col, (b, mono) in enumerate(src):
             for a, poly in by_src_gen.get(b, ()):
                 prod = alg.reduce(poly_mul(poly, {mono: 1}, p))
-                _add_multiple(
-                    entries, 1, {(tgt_pos[(a, m2)], col): c for m2, c in prod.items()}, p
-                )
+                for m2, c in prod.items():
+                    entries[(tgt_pos[(a, m2)], col)] = c
         m = Matrix(alg.field, len(tgt_pos), len(src), entries)
         self._expanded[d] = m
         return m

@@ -54,11 +54,10 @@ def random_filtered_complex(field, rng, top_degree=3, max_dim=6, max_width=4):
     for n in range(1, top_degree + 1):
         cols = []
         for k in range(dims[n]):
-            cap = levels[n][k] if dims[n] else 0
             allowed = Subspace.spanned_by_columns(
                 field,
                 dims[n - 1],
-                [{i: 1} for i, lv in enumerate(prev_levels) if lv <= cap],
+                [{i: 1} for i, lv in enumerate(prev_levels) if lv <= levels[n][k]],
             )
             cols.append(_random_vector_in(field, rng, intersect(ker, allowed)))
         m = Matrix.from_column_dicts(field, dims[n - 1], cols)

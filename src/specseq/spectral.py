@@ -83,9 +83,6 @@ class PageMap:
     def matrix(self, p, q):
         return self.matrices[(p, q)]
 
-    def nonzero_positions(self):
-        return sorted(pos for pos, m in self.matrices.items() if not m.is_zero)
-
 
 class LimitReport:
     """Comparison of infinity-page dimensions with graded homology."""
@@ -167,18 +164,7 @@ class SpectralSequence:
             return top
         if all(len(c) == 1 for c in top.basis_columns + target.basis_columns):
             return _coordinate_cycles(d, top.pivots, set(target.pivots))
-        pre = preimage(d, target)
-        if pre.is_full:
-            return top
-        return intersect(top, pre)
-
-    def _push_forward(self, sub, n):
-        """Image of a degree-n subspace under the differential."""
-        amb = self.source.ambient
-        d = amb.diff(n)
-        if sub.is_zero or d.is_zero:
-            return Subspace.zero(amb.field, d.rows)
-        return apply_to_subspace(d, sub)
+        return intersect(top, preimage(d, target))
 
     # -- pages ---------------------------------------------------------------
 
@@ -194,8 +180,8 @@ class SpectralSequence:
     def _compute_entry(self, r, p, q):
         numerator = self.cycles(r, p, q)
         below = self.cycles(r - 1, p - 1, q + 1)
-        arriving = self._push_forward(
-            self.cycles(r - 1, p + r - 1, q - r + 2), p + q + 1
+        arriving = apply_to_subspace(
+            self.source.ambient.diff(p + q + 1), self.cycles(r - 1, p + r - 1, q - r + 2)
         )
         return quotient(numerator, subspace_sum(below, arriving))
 

@@ -1,4 +1,4 @@
-"""Print three sha256 lines over fixed sets of exact results, to compare two versions.
+"""Print four sha256 lines over fixed sets of exact results, to compare two versions.
 
 Usage: python3 scripts/canonical_dump.py    (imports tests/test_spectral.py,
 so pytest must be importable)
@@ -27,6 +27,12 @@ The third hash covers the tensor and Hom builders, over the four fields:
   - the stdout and exit code of `cli.run` on `build tensor`,
     `build tensor-mirrored` and `build hom` scenarios written from the same
     factors, with and without --machine.
+
+The fourth hash covers every page entry and page map at every position from
+p_min - 1 to p_max + 1, for r = r_star + 1 down to 1, queried on one
+SpectralSequence per filtration, so later queries meet the values earlier
+ones stored; the filtrations are those of the first two hashes, 10 seeds
+each over the four fields, as generated and moved by `change_of_basis`.
 
 Two versions that print the same hash computed the same bytes for all of
 it, so a change meant to leave the answers alone can be checked in one run.
@@ -98,19 +104,41 @@ def moved_filtration_lines(token, seed):
     yield from spectral_lines(change_of_basis(fc, rng))
 
 
+def entry_lines(r, pos, pres):
+    yield f"entry {r} {pos} dim {pres.dim} rep pivots {list(pres.rep_pivots)}"
+    yield from (render_column(pres.field, c) for c in pres.rep_columns)
+    yield from render_subspace(pres.relations)
+
+
 def spectral_lines(fc):
-    field = fc.ambient.field
     ss = SpectralSequence(fc)
     for r in range(1, ss.r_star + 1):
         page = ss.page(r)
         for pos, pres in sorted(page.entries.items()):
-            yield f"entry {r} {pos} dim {pres.dim} rep pivots {list(pres.rep_pivots)}"
-            yield from (render_column(field, c) for c in pres.rep_columns)
-            yield from render_subspace(pres.relations)
+            yield from entry_lines(r, pos, pres)
         for pos, m in sorted(ss.page_map(r).matrices.items()):
             yield f"map {r} {pos}"
             yield render_matrix_machine(m)
     yield from (str(row) for row in ss.limit_comparison(strict=False).rows)
+
+
+def descending_lines(token, seed):
+    field = parse_field_token(token)
+    rng = random.Random(seed)
+    fc, levels = random_filtered_complex(field, rng)
+    yield f"descending {token} {seed} levels {sorted(levels.items())}"
+    for version in (fc, change_of_basis(fc, rng)):
+        ss = SpectralSequence(version)
+        positions = [
+            (p, n - p)
+            for p in range(version.p_min - 1, version.p_max + 2)
+            for n in version.ambient.degrees()
+        ]
+        for r in range(ss.r_star + 1, 0, -1):
+            for pos in positions:
+                yield from entry_lines(r, pos, ss.entry(r, *pos))
+                yield f"map {r} {pos}"
+                yield render_matrix_machine(ss.differential(r, *pos))
 
 
 PRODUCT_QUERIES = "queries\npage 1\npage 2\ninfinity\ncompare\nend-queries\n"
@@ -199,6 +227,12 @@ def main():
             for line in product_lines(token, seed):
                 products.update(line.encode() + b"\n")
     print(products.hexdigest())
+    descending = hashlib.sha256()
+    for token in FIELDS:
+        for seed in range(10):
+            for line in descending_lines(token, seed):
+                descending.update(line.encode() + b"\n")
+    print(descending.hexdigest())
     return 0
 
 

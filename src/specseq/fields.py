@@ -170,7 +170,7 @@ class Field:
         return self.element(1)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Field)
             and self.kind == other.kind
             and self.characteristic == other.characteristic

@@ -474,7 +474,8 @@ def echelonize(m):
 
 
 def rank(m):
-    return echelonize(m)[1]
+    # one pivot per independent column; the back-substitution is not needed
+    return len(_reduce_columns(m.column_dicts(), m.rows, m.field.characteristic)[0])
 
 
 def image(m):
@@ -488,6 +489,10 @@ def kernel(m):
 
 def subspace_sum(a, b):
     _check_pair(a, b)
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
     return Subspace.spanned_by_columns(
         a.field, a.ambient_dim, list(a.basis_columns) + list(b.basis_columns)
     )
@@ -618,7 +623,9 @@ def induced_map(m, src, tgt):
         for i, c in enumerate(coords):
             if c:
                 entries[(i, j)] = c
-    return Matrix(m.field, tgt.dim, src.dim, entries)
+    out = Matrix(m.field, tgt.dim, src.dim)
+    out.entries = entries
+    return out
 
 
 def apply_to_subspace(m, sub):

@@ -12,11 +12,12 @@ from .linalg import Matrix, Subspace, _add_multiple, intersect, kernel
 
 
 def _random_vector_in(field, rng, sub):
+    # not reduced mod p: callers build a Matrix from it, which normalizes
     out = {}
     for col in sub.basis_columns:
         c = field.random_element(rng).value
         if c:
-            _add_multiple(out, c, col, field.characteristic)
+            _add_multiple(out, c, col)
     return out
 
 

@@ -6,17 +6,23 @@ on first use.  The cycle spaces
 
     Z^r(p, q) = layer(p, n) cap d^{-1}(layer(p - r, n - 1)),   n = p + q,
 
-only depend on the clamped pair of filtration indices, so the memo key
-clamps both into [p_min - 1, p_max]; stabilization beyond the filtration
-width then falls out of the key arithmetic.  For coordinate layers, whose
-basis columns are all unit vectors, Z^r(p, q) = ker(d restricted to the
-columns of F_p and the rows outside F_{p-r}): one kernel in place of a
-preimage and an intersection.  Page entries are the standard subquotients
+only depend on the pair of filtration indices clamped into
+[p_min - 1, p_max], so each is keyed by its cycle key (cap_hi, cap_lo, n).
+When cap_lo = cap_hi (r <= 0, or both indices past one end of the window)
+Z^r is the layer itself and is read off the filtration.  For coordinate
+layers, whose basis columns are all unit vectors, Z^r(p, q) = ker(d
+restricted to the columns of F_p and the rows outside F_{p-r}): one kernel
+in place of a preimage and an intersection.  Page entries are the standard
+subquotients
 
     E^r(p, q) = Z^r(p, q) / (Z^{r-1}(p-1, q+1) + d Z^{r-1}(p+r-1, q-r+2)),
 
 and page maps are induced by the ambient differential on representatives.
-`limit_comparison` keeps to kernel, image, intersect and subspace_sum: its
+An entry is memoized on the cycle keys of its three cycle spaces and a page
+map on the keys of its source and target entries, so each distinct one is
+computed once.  Stabilization at each position falls out of the keys, not
+out of r_star: E^r(p, q) is one value for all r >= max(p - p_min + 1,
+p_max - p + 1).  `limit_comparison` keeps to kernel, image, intersect and subspace_sum: its
 E^inf check shares no code with the coordinate kernel.  The memo tables take
 no lock; dict.setdefault, atomic under the GIL, keeps the first value stored.
 """
@@ -134,24 +140,33 @@ class SpectralSequence:
         return self.source.p_max - self.source.p_min + 2
 
     def _memo(self, table, key, compute):
-        if key in table:
-            return table[key]
-        return table.setdefault(key, compute())
+        value = table.get(key)
+        if value is None:
+            value = table.setdefault(key, compute())
+        return value
 
     # -- cycle subspaces ----------------------------------------------------
 
-    def cycles(self, r, p, q):
+    def _cycle_key(self, r, p, n):
+        """Key (cap_hi, cap_lo, n) of Z^r(p, n - p).
+
+        Both filtration indices are clamped into [p_min - 1, p_max], and
+        cap_lo is at most cap_hi, so r <= 0 gives cap_lo = cap_hi.
+        """
         fc = self.source
-        n = p + q
-        if r <= 0:
-            return fc.layer(p, n)
         floor = fc.p_min - 1
         cap_hi = max(min(p, fc.p_max), floor)
-        cap_lo = max(min(p - r, fc.p_max), floor)
-        key = (cap_hi, cap_lo, n)
-        return self._memo(
-            self._cycles, key, lambda: self._compute_cycles(cap_hi, cap_lo, n)
-        )
+        return cap_hi, max(min(p - r, cap_hi), floor), n
+
+    def _cycles_at(self, key):
+        cap_hi, cap_lo, n = key
+        if cap_lo == cap_hi:
+            # d maps each layer into itself, so Z is the whole layer
+            return self.source.layer(cap_hi, n)
+        return self._memo(self._cycles, key, lambda: self._compute_cycles(*key))
+
+    def cycles(self, r, p, q):
+        return self._cycles_at(self._cycle_key(r, p, p + q))
 
     def _compute_cycles(self, cap_hi, cap_lo, n):
         fc = self.source
@@ -168,22 +183,27 @@ class SpectralSequence:
 
     # -- pages ---------------------------------------------------------------
 
+    def _entry_key(self, r, p, n):
+        """Cycle keys of the numerator and of the two parts of the denominator."""
+        key = self._cycle_key
+        return key(r, p, n), key(r - 1, p - 1, n), key(r - 1, p + r - 1, n + 1)
+
+    def _entry_at(self, key):
+        return self._memo(self._entries, key, lambda: self._compute_entry(key))
+
     def entry(self, r, p, q):
         if r < 0:
             raise ValueError("page index must be nonnegative")
-        r_eff = min(r, self.r_star)
-        key = (r_eff, p, q)
-        return self._memo(
-            self._entries, key, lambda: self._compute_entry(r_eff, p, q)
-        )
+        return self._entry_at(self._entry_key(r, p, p + q))
 
-    def _compute_entry(self, r, p, q):
-        numerator = self.cycles(r, p, q)
-        below = self.cycles(r - 1, p - 1, q + 1)
-        arriving = apply_to_subspace(
-            self.source.ambient.diff(p + q + 1), self.cycles(r - 1, p + r - 1, q - r + 2)
+    def _compute_entry(self, key):
+        top, below, arriving = key
+        pushed = apply_to_subspace(
+            self.source.ambient.diff(arriving[2]), self._cycles_at(arriving)
         )
-        return quotient(numerator, subspace_sum(below, arriving))
+        return quotient(
+            self._cycles_at(top), subspace_sum(self._cycles_at(below), pushed)
+        )
 
     def page(self, r):
         fc = self.source
@@ -202,13 +222,17 @@ class SpectralSequence:
         """The induced map entry(p, q) -> entry(p - r, q + r - 1)."""
         if r < 1:
             raise ValueError("page differentials start at r = 1")
-        key = (r, p, q)
-        return self._memo(self._diffs, key, lambda: self._compute_diff(r, p, q))
+        n = p + q
+        key = (self._entry_key(r, p, n), self._entry_key(r, p - r, n - 1))
+        return self._memo(self._diffs, key, lambda: self._compute_diff(key))
 
-    def _compute_diff(self, r, p, q):
-        src = self.entry(r, p, q)
-        tgt = self.entry(r, p - r, q + r - 1)
-        return induced_map(self.source.ambient.diff(p + q), src, tgt)
+    def _compute_diff(self, key):
+        src_key, tgt_key = key
+        return induced_map(
+            self.source.ambient.diff(src_key[0][2]),
+            self._entry_at(src_key),
+            self._entry_at(tgt_key),
+        )
 
     def page_map(self, r):
         fc = self.source

@@ -305,3 +305,40 @@ def test_generic_cycles_on_non_coordinate_layers(field, monkeypatch):
         assert ss_moved.limit_comparison().ok
     assert non_coordinate
     assert calls
+
+
+@pytest.mark.parametrize("field", FIELDS[:3], ids=str)
+def test_memo_keys_are_sound(field, monkeypatch):
+    # entries and page maps are memoized on the cycle spaces they are built
+    # from: queried from r_star + 1 down on one SpectralSequence, they must
+    # equal those of a fresh SpectralSequence, and an entry is one object for
+    # all r >= max(p - p_min + 1, p_max - p + 1)
+    calls = []
+    real = SpectralSequence._compute_entry
+    monkeypatch.setattr(
+        SpectralSequence,
+        "_compute_entry",
+        lambda ss, key: calls.append((ss, key)) or real(ss, key),
+    )
+    for seed in range(3):
+        rng = random.Random(seed)
+        base, _ = random_filtered_complex(field, rng)
+        for fc in (base, change_of_basis(base, rng)):
+            ss = SpectralSequence(fc)
+            positions = [
+                (p, n - p)
+                for p in range(fc.p_min - 1, fc.p_max + 2)
+                for n in fc.ambient.degrees()
+            ]
+            for r in range(ss.r_star + 1, 0, -1):
+                for p, q in positions:
+                    assert ss.entry(r, p, q) == SpectralSequence(fc).entry(r, p, q)
+                    got = ss.differential(r, p, q)
+                    assert got == SpectralSequence(fc).differential(r, p, q)
+            for p, q in positions:
+                low = max(p - fc.p_min + 1, fc.p_max - p + 1)
+                for r in range(low + 1, ss.r_star + 2):
+                    assert ss.entry(r, p, q) is ss.entry(low, p, q)
+            keys = [key for owner, key in calls if owner is ss]
+            assert len(keys) == len(set(keys))
+            assert len(keys) < len(positions) * (ss.r_star + 1)

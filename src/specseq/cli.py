@@ -11,7 +11,7 @@ successfully built object, 2 on unreadable input or malformed scenarios.
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .complexes import parse_complex
 from .errors import (
@@ -22,6 +22,7 @@ from .errors import (
 )
 from .fields import parse_field_token
 from .filtration import (
+    FilteredComplex,
     from_simplicial,
     hom_filtration,
     parse_filtered,
@@ -42,16 +43,7 @@ from .graded import (
 from .linalg import image, render_matrix_machine
 from .simplicial import parse_simplicial
 from .spectral import SpectralSequence
-
-BUILD_KINDS = (
-    "simplicial",
-    "filtered",
-    "truncation",
-    "tensor",
-    "tensor-mirrored",
-    "hom",
-    "graded",
-)
+from .text import Lines
 
 
 @dataclass
@@ -67,106 +59,66 @@ class Scenario:
     field_token: str
     build_kind: str
     build_opts: tuple
-    build_lines: list
-    queries: list = dataclass_field(default_factory=list)
-
-
-def _section_end(lines, start, marker):
-    for j in range(start, len(lines)):
-        if lines[j].strip() == marker:
-            return j
-    raise ParseError(f"missing {marker!r}", line=len(lines))
+    build_lines: Lines
+    queries: list
 
 
 def parse_scenario(text):
-    lines = text.splitlines()
+    lines = Lines(text)
     field_token = None
     build = None
     queries = None
-    i = 0
-    while i < len(lines):
-        t = lines[i].strip()
-        if not t or t.startswith("#"):
-            i += 1
-        elif t.startswith("field"):
-            parts = t.split()
-            if len(parts) != 2:
-                raise ParseError(f"bad field line {t!r}", line=i + 1)
+    for line in lines:
+        words = line.words
+        if words[0] == "field":
+            if len(words) != 2:
+                raise line.error(f"bad field line {line.text!r}")
             if field_token is not None:
-                raise ParseError("field named twice", line=i + 1)
-            field_token = parts[1]
-            i += 1
-        elif t.startswith("build"):
+                raise line.error("field named twice")
+            field_token = words[1]
+        elif words[0] == "build":
             if build is not None:
-                raise ParseError("more than one build section", line=i + 1)
-            parts = t.split()
-            if len(parts) < 2 or parts[1] not in BUILD_KINDS:
-                raise ParseError(f"bad build line {t!r}", line=i + 1)
-            j = _section_end(lines, i + 1, "end-build")
-            build = (parts[1], tuple(parts[2:]), lines[i + 1 : j])
-            i = j + 1
-        elif t == "queries":
+                raise line.error("more than one build section")
+            if len(words) < 2 or words[1] not in BUILDS:
+                raise line.error(f"bad build line {line.text!r}")
+            body = lines.block("end-build", "missing 'end-build'")
+            build = (words[1], tuple(words[2:]), body)
+        elif line.text == "queries":
             if queries is not None:
-                raise ParseError("more than one queries section", line=i + 1)
-            j = _section_end(lines, i + 1, "end-queries")
-            queries = []
-            for k in range(i + 1, j):
-                q = lines[k].strip()
-                if not q or q.startswith("#"):
-                    continue
-                queries.append(_parse_query(q, k + 1))
-            i = j + 1
+                raise line.error("more than one queries section")
+            queries = [
+                _parse_query(q) for q in lines.body("end-queries", "missing 'end-queries'")
+            ]
         else:
-            raise ParseError(f"unexpected line {t!r}", line=i + 1)
+            raise line.unexpected()
     if build is None:
-        raise ParseError("scenario has no build section", line=len(lines))
+        raise ParseError("scenario has no build section", line=lines.end)
     if queries is None:
-        raise ParseError("scenario has no queries section", line=len(lines))
-    kind, opts, body = build
-    return Scenario(field_token, kind, opts, body, queries)
+        raise ParseError("scenario has no queries section", line=lines.end)
+    return Scenario(field_token, *build, queries)
 
 
-def _parse_query(text, lineno):
-    parts = text.split()
-    kind = parts[0]
+def _parse_query(line):
+    kind, args = line.words[0], line.words[1:]
     if kind in ("infinity", "compare"):
-        if len(parts) != 1:
-            raise ParseError(f"{kind} takes no arguments", line=lineno)
+        if args:
+            raise line.error(f"{kind} takes no arguments")
         return Query(kind)
     if kind == "page":
-        if len(parts) != 2:
-            raise ParseError(f"bad page query {text!r}", line=lineno)
-        r = _int(parts[1], lineno)
+        if len(args) != 1:
+            raise line.error(f"bad page query {line.text!r}")
+        (r,) = line.ints(args)
         if r < 0:
-            raise ParseError("page index must be nonnegative", line=lineno)
+            raise line.error("page index must be nonnegative")
         return Query("page", r=r)
     if kind in ("differential", "image-length"):
-        if len(parts) != 4:
-            raise ParseError(f"bad {kind} query {text!r}", line=lineno)
-        r, p, q = (_int(x, lineno) for x in parts[1:])
+        if len(args) != 3:
+            raise line.error(f"bad {kind} query {line.text!r}")
+        r, p, q = line.ints(args)
         if r < 1:
-            raise ParseError(f"{kind} needs a page index of at least 1", line=lineno)
+            raise line.error(f"{kind} needs a page index of at least 1")
         return Query(kind, r=r, p=p, q=q)
-    raise ParseError(f"unknown query {text!r}", line=lineno)
-
-
-def _int(token, lineno):
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", line=lineno) from None
-
-
-def _skip_blank(lines, i):
-    while i < len(lines) and (not lines[i].strip() or lines[i].strip().startswith("#")):
-        i += 1
-    return i
-
-
-def _check_trailing(lines, i):
-    i = _skip_blank(lines, i)
-    if i < len(lines):
-        raise ParseError(f"unexpected line {lines[i].strip()!r}", line=i + 1)
+    raise line.error(f"unknown query {line.text!r}")
 
 
 def _need_field(token):
@@ -175,101 +127,95 @@ def _need_field(token):
     return parse_field_token(token)
 
 
-def _match_field(embedded, token):
-    if token is not None and parse_field_token(token) != embedded:
-        raise ParseError(
-            f"scenario names field {token} but the block is over {embedded.token()}"
-        )
+def _simplicial_blocks(lines):
+    """The nested simplicial complexes of a simplicial build, largest first."""
+    complexes = []
+    while not lines.done:
+        complexes.append(parse_simplicial(lines))
+    if not complexes:
+        raise ParseError("build simplicial lists no complexes")
+    return complexes
 
 
-def build_filtration(scenario, field_token):
-    kind = scenario.build_kind
-    opts = scenario.build_opts
-    lines = scenario.build_lines
-    if kind == "simplicial":
-        field = _need_field(field_token)
-        reduced = "non-reduced" not in opts
-        complexes = []
-        i = _skip_blank(lines, 0)
-        while i < len(lines):
-            s, i = parse_simplicial(lines, i)
-            complexes.append(s)
-            i = _skip_blank(lines, i)
-        if not complexes:
-            raise ParseError("build simplicial lists no complexes")
-        return from_simplicial(complexes, field, reduced=reduced)
-    if kind == "filtered":
-        fc, i = parse_filtered(lines, _skip_blank(lines, 0))
-        _check_trailing(lines, i)
-        _match_field(fc.ambient.field, field_token)
-        return fc
-    if kind == "truncation":
-        c, i = parse_complex(lines, _skip_blank(lines, 0))
-        _check_trailing(lines, i)
-        _match_field(c.field, field_token)
-        return truncation_filtration(c)
-    if kind == "tensor":
-        c, i = parse_complex(lines, _skip_blank(lines, 0))
-        fd, i = parse_filtered(lines, _skip_blank(lines, i))
-        _check_trailing(lines, i)
-        _match_field(c.field, field_token)
-        return tensor_filtration(c, fd)
-    if kind == "tensor-mirrored":
-        fd, i = parse_filtered(lines, _skip_blank(lines, 0))
-        c, i = parse_complex(lines, _skip_blank(lines, i))
-        _check_trailing(lines, i)
-        _match_field(c.field, field_token)
-        return tensor_filtration(fd, c)
-    if kind == "hom":
-        c, i = parse_complex(lines, _skip_blank(lines, 0))
-        fd, i = parse_filtered(lines, _skip_blank(lines, i))
-        _check_trailing(lines, i)
-        _match_field(c.field, field_token)
-        return hom_filtration(c, fd)
-    if kind == "graded":
-        return _build_graded(lines, _need_field(field_token))
-    raise ParseError(f"unknown build kind {kind!r}")
-
-
-def _build_graded(lines, field):
+def _graded_directives(lines):
+    """The variables, relations and numeric settings of a graded build."""
     names = None
     relations = []
-    length = None
-    factor = 0
-    top_bound = 64
-    for i, raw in enumerate(lines):
-        t = raw.strip()
-        if not t or t.startswith("#"):
-            continue
-        parts = t.split()
-        if parts[0] == "vars":
-            names = parts[1:]
-            if not names:
-                raise ParseError("vars names no variables", line=i + 1)
-        elif parts[0] == "relation":
-            relations.append(" ".join(parts[1:]))
-        elif parts[0] == "length" and len(parts) == 2:
-            length = _int(parts[1], i + 1)
-        elif parts[0] == "factor" and len(parts) == 2:
-            factor = _int(parts[1], i + 1)
-            if factor not in (0, 1):
-                raise ParseError("factor must be 0 or 1", line=i + 1)
-        elif parts[0] == "top-bound" and len(parts) == 2:
-            top_bound = _int(parts[1], i + 1)
+    numbers = {"factor": 0, "top-bound": 64}
+    for line in lines:
+        head, args = line.words[0], line.words[1:]
+        if head == "vars":
+            if not args:
+                raise line.error("vars names no variables")
+            names = args
+        elif head == "relation":
+            relations.append(" ".join(args))
+        elif head in ("length", "factor", "top-bound") and len(args) == 1:
+            (numbers[head],) = line.ints(args)
+            if head == "factor" and numbers[head] not in (0, 1):
+                raise line.error("factor must be 0 or 1")
         else:
-            raise ParseError(f"bad graded directive {t!r}", line=i + 1)
+            raise line.error(f"bad graded directive {line.text!r}")
     if names is None:
         raise ParseError("build graded needs a vars line")
     if not relations:
         raise ParseError("build graded needs at least one relation")
-    if length is None:
+    if "length" not in numbers:
         raise ParseError("build graded needs a length line")
+    return names, relations, numbers
+
+
+def _build_simplicial(token, opts, complexes):
+    reduced = "non-reduced" not in opts
+    return from_simplicial(complexes, _need_field(token), reduced=reduced)
+
+
+def _build_graded(token, opts, directives):
+    names, relations, numbers = directives
     algebra = build_quotient_algebra(
-        field, len(names), relations, top_bound=top_bound, names=names
+        _need_field(token), len(names), relations, top_bound=numbers["top-bound"], names=names
     )
-    resolution = minimal_free_resolution(algebra, length)
+    resolution = minimal_free_resolution(algebra, numbers["length"])
     expanded = expand(tensor_complex(resolution, koszul_complex(algebra)))
-    return factor_filtration(expanded, factor)
+    return factor_filtration(expanded, numbers["factor"])
+
+
+def _embedded(build):
+    """A builder of blocks that name their field; the scenario's must match each."""
+
+    def checked(token, opts, *blocks):
+        for block in blocks:
+            field = block.ambient.field if isinstance(block, FilteredComplex) else block.field
+            if token is not None and parse_field_token(token) != field:
+                raise ParseError(
+                    f"scenario names field {token} but the block is over {field.token()}"
+                )
+        return build(*blocks)
+
+    return checked
+
+
+# build kind -> (readers of its blocks, in file order; builder called with the
+# field token, the build options and the blocks read)
+BUILDS = {
+    "simplicial": ((_simplicial_blocks,), _build_simplicial),
+    "filtered": ((parse_filtered,), _embedded(lambda fc: fc)),
+    "truncation": ((parse_complex,), _embedded(truncation_filtration)),
+    "tensor": ((parse_complex, parse_filtered), _embedded(tensor_filtration)),
+    "tensor-mirrored": ((parse_filtered, parse_complex), _embedded(tensor_filtration)),
+    "hom": ((parse_complex, parse_filtered), _embedded(hom_filtration)),
+    "graded": ((_graded_directives,), _build_graded),
+}
+
+
+def build_filtration(scenario, field_token):
+    """Read the blocks of the scenario's build section and build their filtration."""
+    readers, build = BUILDS[scenario.build_kind]
+    lines = scenario.build_lines.copy()
+    blocks = [read(lines) for read in readers]
+    if not lines.done:
+        raise lines.next(None).unexpected()
+    return build(field_token, scenario.build_opts, *blocks)
 
 
 def _degree_table(fc, n):
@@ -280,19 +226,12 @@ def _degree_table(fc, n):
 
 
 def _page_entries(ss, r, threads):
-    fc = ss.source
-    positions = [
-        (p, n - p) for p in fc.p_range for n in fc.ambient.degrees()
-    ]
     if threads > 1:
+        fc = ss.source
+        positions = [(p, n - p) for p in fc.p_range for n in fc.ambient.degrees()]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda pq: ss.entry(r, pq[0], pq[1]), positions))
-    out = {}
-    for p, q in positions:
-        pres = ss.entry(r, p, q)
-        if pres.dim:
-            out[(p, q)] = pres
-    return out
+    return {pq: pres for pq, pres in ss.page(r).entries.items() if pres.dim}
 
 
 def _cell_text(ss, pres, p, q):
@@ -344,28 +283,19 @@ def render_page_machine(ss, r, entries):
 def parse_machine_page(text):
     """Inverse of render_page_machine over its own output."""
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        t = raw.strip()
-        if not t or t.startswith("#"):
-            continue
-        parts = t.split()
-        if len(parts) < 4:
-            raise ParseError(f"bad page line {raw!r}", line=lineno)
-        try:
-            r, p, q, dim = (int(x) for x in parts[:4])
-        except ValueError:
-            raise ParseError(f"bad page line {raw!r}", line=lineno) from None
+    for line in Lines(text):
+        bad = f"bad page line {line.text!r}"
+        if len(line.words) < 4:
+            raise line.error(bad)
+        r, p, q, dim = line.ints(line.words[:4], bad)
         degrees = {}
-        for token in parts[4:]:
-            d, sep, c = token.partition(":")
-            if not sep:
-                raise ParseError(f"bad degree token {token!r}", line=lineno)
-            try:
-                degrees[int(d)] = int(c)
-            except ValueError:
-                raise ParseError(f"bad degree token {token!r}", line=lineno) from None
+        for token in line.words[4:]:
+            # a token without its ':' leaves c empty, which is no integer
+            d, _, c = token.partition(":")
+            d, c = line.ints((d, c), f"bad degree token {token!r}")
+            degrees[d] = c
         if degrees and sum(degrees.values()) != dim:
-            raise ParseError(f"degree counts do not sum to {dim}", line=lineno)
+            raise line.error(f"degree counts do not sum to {dim}")
         out[(r, p, q)] = (dim, degrees or None)
     return out
 
@@ -470,7 +400,7 @@ def main(argv=None):
     try:
         with open(args.scenario, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return 2
     try:

@@ -18,7 +18,7 @@ differential is d_c tensor 1 + (-1)^i 1 tensor d_d and the Hom differential
 Kronecker products.
 """
 
-from .errors import AmbientMismatch, MixedFields, NotAComplex, ParseError
+from .errors import AmbientMismatch, MixedFields, NotAComplex
 from .fields import parse_field_token
 from .linalg import (
     Matrix,
@@ -284,47 +284,27 @@ def render_complex(c):
     return "\n".join(lines)
 
 
-def parse_complex(lines, start=0):
-    if start >= len(lines):
-        raise ParseError("missing complex block", line=start + 1)
-    head = lines[start].split()
-    if len(head) != 4 or head[0] != "complex":
-        raise ParseError(f"bad complex header {lines[start]!r}", line=start + 1)
-    field = parse_field_token(head[1])
+def parse_complex(lines):
+    """Inverse of render_complex, read from a text.Lines cursor."""
+    head = lines.header("complex", size=4)
+    field = parse_field_token(head.words[1])
     labels = {}
     diffs = {}
-    i = start + 1
-    while True:
-        if i >= len(lines):
-            raise ParseError("complex block not closed", line=len(lines))
-        text = lines[i].strip()
-        if text == "end-complex":
-            i += 1
-            break
-        if text.startswith("term "):
-            headpart, _, labpart = text.partition(":")
+    for line in lines.body("end-complex", "complex block not closed"):
+        if line.words[0] == "term":
+            headpart, _, labpart = line.text.partition(":")
             parts = headpart.split()
+            bad = f"bad term line {line.text!r}"
             if len(parts) != 2:
-                raise ParseError(f"bad term line {text!r}", line=i + 1)
-            try:
-                labels[int(parts[1])] = tuple(labpart.split())
-            except ValueError:
-                raise ParseError(f"bad term line {text!r}", line=i + 1) from None
-            i += 1
-        elif text.startswith("diff "):
-            try:
-                n = int(text.split()[1])
-            except ValueError:
-                raise ParseError(f"bad diff line {text!r}", line=i + 1) from None
-            m, i = parse_matrix_machine(lines, i + 1)
+                raise line.error(bad)
+            (n,) = line.ints(parts[1:], bad)
+            labels[n] = tuple(labpart.split())
+        elif line.words[0] == "diff":
+            (n,) = line.ints(line.words[1:], f"bad diff line {line.text!r}", size=2)
+            m = parse_matrix_machine(lines)
             if m.field != field:
-                raise ParseError(f"differential {n} over the wrong field", line=i)
+                raise line.error(f"differential {n} over the wrong field")
             diffs[n] = m
-        elif not text or text.startswith("#"):
-            i += 1
         else:
-            raise ParseError(f"unexpected line {text!r}", line=i + 1)
-    try:
-        return ChainComplex(field, labels, diffs), i
-    except (NotAComplex, ValueError) as exc:
-        raise ParseError(str(exc), line=start + 1) from None
+            raise line.unexpected()
+    return head.build((NotAComplex, ValueError), ChainComplex, field, labels, diffs)

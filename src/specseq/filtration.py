@@ -7,9 +7,10 @@ the zero and full subspaces, which keeps boundary arithmetic in the
 spectral sequence uniform.
 """
 
-from .complexes import _blocks, _kron, hom_complex, tensor
-from .errors import MixedFields, NotNested, ParseError
+from .complexes import _blocks, _kron, hom_complex, parse_complex, render_complex, tensor
+from .errors import MixedFields, NotNested
 from .linalg import Subspace, image, parse_matrix_machine, render_matrix_machine
+from .simplicial import inclusion_map, reduced_chain_complex
 
 
 class FilteredComplex:
@@ -134,8 +135,6 @@ def from_chain_maps(maps, shift=0):
 
 def from_simplicial(complexes, field, reduced=True):
     """Filtration by a descending list of subcomplexes of the first entry."""
-    from .simplicial import inclusion_map, reduced_chain_complex
-
     if not complexes:
         raise ValueError("need at least one simplicial complex")
     top = complexes[0]
@@ -215,7 +214,7 @@ def hom_filtration(c, fd):
     return _product_filtration(hom_complex(c, fd.ambient), c, fd.ambient, fd, False, hom=True)
 
 
-def from_basis_levels(ambient, levels, validate=True):
+def from_basis_levels(ambient, levels):
     """Coordinate filtration: basis vector k of term n enters at levels[n][k]."""
     field = ambient.field
     all_levels = [lv for per in levels.values() for lv in per]
@@ -231,7 +230,7 @@ def from_basis_levels(ambient, levels, validate=True):
             cols = [{k: 1} for k, lv in enumerate(lvls) if lv <= p]
             per[n] = Subspace.spanned_by_columns(field, ambient.dim(n), cols)
         layers[p] = per
-    return FilteredComplex(ambient, layers, validate=validate)
+    return FilteredComplex(ambient, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +238,6 @@ def from_basis_levels(ambient, levels, validate=True):
 
 
 def render_filtered(fc):
-    from .complexes import render_complex
-
     lines = [f"filtered {fc.p_min} {fc.p_max}"]
     lines.append(render_complex(fc.ambient))
     for p in fc.p_range:
@@ -257,56 +254,30 @@ def render_filtered(fc):
     return "\n".join(lines)
 
 
-def parse_filtered(lines, start=0):
-    from .complexes import parse_complex
-
-    if start >= len(lines):
-        raise ParseError("missing filtered block", line=start + 1)
-    head = lines[start].split()
-    if len(head) != 3 or head[0] != "filtered":
-        raise ParseError(f"bad filtered header {lines[start]!r}", line=start + 1)
-    try:
-        p_min, p_max = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError(f"bad filtered header {lines[start]!r}", line=start + 1) from None
-    ambient, i = parse_complex(lines, start + 1)
+def parse_filtered(lines):
+    """Inverse of render_filtered, read from a text.Lines cursor."""
+    head = lines.header("filtered", size=3)
+    p_min, p_max = head.ints(head.words[1:], f"bad filtered header {head.text!r}")
+    ambient = parse_complex(lines)
     field = ambient.field
     layers = {p: {} for p in range(p_min, p_max + 1)}
-    while True:
-        if i >= len(lines):
-            raise ParseError("filtered block not closed", line=len(lines))
-        text = lines[i].strip()
-        if text == "end-filtered":
-            i += 1
-            break
-        if text.startswith("layer "):
-            parts = text.split()
-            if len(parts) not in (3, 4):
-                raise ParseError(f"bad layer line {text!r}", line=i + 1)
-            try:
-                p, n = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"bad layer line {text!r}", line=i + 1) from None
-            if p < p_min or p > p_max:
-                raise ParseError(f"layer index {p} outside the window", line=i + 1)
-            if len(parts) == 4 and parts[3] == "full":
-                layers[p][n] = Subspace.full(field, ambient.dim(n))
-                i += 1
-            elif len(parts) == 4 and parts[3] == "zero":
-                layers[p][n] = Subspace.zero(field, ambient.dim(n))
-                i += 1
-            elif len(parts) == 3:
-                m, i = parse_matrix_machine(lines, i + 1)
-                if m.rows != ambient.dim(n):
-                    raise ParseError(f"layer ({p}, {n}) has the wrong height", line=i)
-                layers[p][n] = Subspace.spanned_by(m)
-            else:
-                raise ParseError(f"bad layer line {text!r}", line=i + 1)
-        elif not text or text.startswith("#"):
-            i += 1
+    for line in lines.body("end-filtered", "filtered block not closed"):
+        if line.words[0] != "layer":
+            raise line.unexpected()
+        bad = f"bad layer line {line.text!r}"
+        kind = " ".join(line.words[3:])
+        if len(line.words) < 3 or kind not in ("", "full", "zero"):
+            raise line.error(bad)
+        p, n = line.ints(line.words[1:3], bad)
+        if p < p_min or p > p_max:
+            raise line.error(f"layer index {p} outside the window")
+        if kind == "full":
+            layers[p][n] = Subspace.full(field, ambient.dim(n))
+        elif kind == "zero":
+            layers[p][n] = Subspace.zero(field, ambient.dim(n))
         else:
-            raise ParseError(f"unexpected line {text!r}", line=i + 1)
-    try:
-        return FilteredComplex(ambient, layers), i
-    except (NotNested, ValueError, MixedFields) as exc:
-        raise ParseError(str(exc), line=start + 1) from None
+            m = parse_matrix_machine(lines)
+            if m.rows != ambient.dim(n):
+                raise line.error(f"layer ({p}, {n}) has the wrong height")
+            layers[p][n] = Subspace.spanned_by(m)
+    return head.build((NotNested, ValueError, MixedFields), FilteredComplex, ambient, layers)

@@ -15,6 +15,7 @@ first monomial.
 """
 
 from collections import namedtuple
+from itertools import combinations
 
 from .complexes import ChainComplex
 from .errors import NotFiniteDimensional, ParseError
@@ -24,6 +25,7 @@ from .linalg import (
     Subspace,
     _add_multiple,
     apply_to_subspace,
+    image,
     kernel,
     quotient,
     subspace_sum,
@@ -382,7 +384,7 @@ class GradedModuleMap:
 
     __slots__ = ("source", "target", "entries", "_expanded")
 
-    def __init__(self, source, target, entries, validate=True):
+    def __init__(self, source, target, entries):
         if source.algebra is not target.algebra:
             raise ValueError("source and target over different algebras")
         self.source = source
@@ -393,13 +395,12 @@ class GradedModuleMap:
             reduced = alg.reduce(_clean_poly(alg.field, poly))
             if not reduced:
                 continue
-            if validate:
-                want = source.gen_degrees[b] - target.gen_degrees[a]
-                if poly_degree(reduced) != want:
-                    raise ValueError(
-                        f"entry ({a}, {b}) has degree {poly_degree(reduced)}, "
-                        f"expected {want}"
-                    )
+            want = source.gen_degrees[b] - target.gen_degrees[a]
+            if poly_degree(reduced) != want:
+                raise ValueError(
+                    f"entry ({a}, {b}) has degree {poly_degree(reduced)}, "
+                    f"expected {want}"
+                )
             cleaned[(a, b)] = reduced
         self.entries = cleaned
         self._expanded = {}
@@ -467,8 +468,6 @@ class GradedComplex:
 def koszul_complex(algebra):
     """Koszul complex on the variables, with alternating-sign differential."""
     n = algebra.num_vars
-    from itertools import combinations
-
     modules = {}
     gens = {}
     for q in range(n + 1):
@@ -687,8 +686,6 @@ def degree_breakdown(pres, degrees):
 
 def image_degree_breakdown(matrix, target_class_degrees):
     """Total dimension of a page map's image with its degree decomposition."""
-    from .linalg import image
-
     img = image(matrix)
     counts = {}
     for col in img.basis_columns:

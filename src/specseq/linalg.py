@@ -28,7 +28,6 @@ from .errors import (
     MixedFields,
     NotASubspace,
     NotWellDefined,
-    ParseError,
 )
 from .fields import QQ, parse_field_token
 
@@ -237,39 +236,16 @@ def render_matrix_machine(m):
     return "\n".join(lines)
 
 
-def parse_matrix_machine(lines, start=0):
-    """Inverse of render_matrix_machine; returns (matrix, index after 'end')."""
-    if start >= len(lines):
-        raise ParseError("missing matrix header", line=start + 1)
-    head = lines[start].split()
-    if len(head) != 3:
-        raise ParseError(f"bad matrix header {lines[start]!r}", line=start + 1)
-    try:
-        rows, cols = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError(f"bad matrix header {lines[start]!r}", line=start + 1) from None
-    field = parse_field_token(head[2])
+def parse_matrix_machine(lines):
+    """Inverse of render_matrix_machine, read from a text.Lines cursor."""
+    head = lines.next("missing matrix header")
+    rows, cols = head.ints(head.words[:2], f"bad matrix header {head.text!r}", size=3)
+    field = parse_field_token(head.words[2])
     entries = {}
-    i = start + 1
-    while True:
-        if i >= len(lines):
-            raise ParseError("matrix block not closed with 'end'", line=len(lines))
-        text = lines[i].strip()
-        i += 1
-        if text == "end":
-            break
-        parts = text.split()
-        if len(parts) != 3:
-            raise ParseError(f"bad matrix entry {text!r}", line=i)
-        try:
-            r, c = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"bad matrix entry {text!r}", line=i) from None
-        entries[(r, c)] = field.parse(parts[2])
-    try:
-        return Matrix(field, rows, cols, entries), i
-    except IndexError as exc:
-        raise ParseError(str(exc), line=start + 1) from None
+    for line in lines.body("end", "matrix block not closed with 'end'"):
+        r, c = line.ints(line.words[:2], f"bad matrix entry {line.text!r}", size=3)
+        entries[(r, c)] = field.parse(line.words[2])
+    return head.build(IndexError, Matrix, field, rows, cols, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ empty face.
 from itertools import combinations
 
 from .complexes import ChainComplex, ChainMap
-from .errors import NotASubcomplex, ParseError
+from .errors import NotASubcomplex
 from .linalg import Matrix
 
 
@@ -133,28 +133,12 @@ def _facets(s):
     return out
 
 
-def parse_simplicial(lines, start=0):
-    head = lines[start].split()
-    if not head or head[0] != "simplicial":
-        raise ParseError(f"bad simplicial header {lines[start]!r}", line=start + 1)
-    vertices = head[1:]
+def parse_simplicial(lines):
+    """Inverse of render_simplicial, read from a text.Lines cursor."""
+    head = lines.header("simplicial")
     facets = []
-    i = start + 1
-    while True:
-        if i >= len(lines):
-            raise ParseError("simplicial block not closed", line=len(lines))
-        text = lines[i].strip()
-        if text == "end-simplicial":
-            i += 1
-            break
-        if text.startswith("facet"):
-            facets.append(text.split()[1:])
-            i += 1
-        elif not text or text.startswith("#"):
-            i += 1
-        else:
-            raise ParseError(f"unexpected line {text!r}", line=i + 1)
-    try:
-        return SimplicialComplex(vertices, facets), i
-    except ValueError as exc:
-        raise ParseError(str(exc), line=start + 1) from None
+    for line in lines.body("end-simplicial", "simplicial block not closed"):
+        if line.words[0] != "facet":
+            raise line.unexpected()
+        facets.append(line.words[1:])
+    return head.build(ValueError, SimplicialComplex, head.words[1:], facets)

@@ -293,3 +293,94 @@ def test_main_subprocess_paths():
         capture_output=True,
     )
     assert no_numpy.returncode == 0, no_numpy.stderr.decode()
+
+
+TRUNCATION = (
+    "build truncation\n"
+    "complex QQ 0 1\n"
+    "term 0 : a\n"
+    "term 1 : b\n"
+    "diff 1\n"
+    "1 1 QQ\n"
+    "0 0 1\n"
+    "end\n"
+    "end-complex\n"
+    "end-build\n"
+)
+FILTERED = (
+    "build filtered\n"
+    "filtered 0 1\n"
+    "complex QQ 0 0\n"
+    "term 0 : a\n"
+    "end-complex\n"
+    "layer 0 0 zero\n"
+    "layer 1 0 full\n"
+    "end-filtered\n"
+    "end-build\n"
+)
+SIMPLICIAL = "build simplicial\nsimplicial x y\nfacet x y\nend-simplicial\nend-build\n"
+GRADED = "build graded\nvars x\nrelation x^2\nlength 1\nend-build\n"
+QUERIES = "\nqueries\npage 1\nend-queries\n"
+
+
+def run_main(tmp_path, text, capsys):
+    path = tmp_path / "case.scn"
+    path.write_text(text)
+    code = cli.main([str(path)])
+    return code, capsys.readouterr().err
+
+
+# (build section, its good line, the bad line put in its place, the line an
+# error is reported at); comments and blank lines above the build section
+# keep section-relative and file line numbers apart
+@pytest.mark.parametrize(
+    "build, good, bad, at",
+    [
+        (TRUNCATION, "0 0 1", "0 x 1", "0 x 1"),
+        (TRUNCATION, "term 1 : b", "term x : b", "term x : b"),
+        (TRUNCATION, "diff 1", "diff x", "diff x"),
+        (FILTERED, "layer 1 0 full", "layer 5 0 full", "layer 5 0 full"),
+        # SimplicialComplex rejects the facet; its block's header is reported
+        (SIMPLICIAL, "facet x y", "facet x q", "simplicial x y"),
+        (GRADED, "length 1", "length x", "length x"),
+        (GRADED + "\nqueries\npage 1\nend-queries\n", "page 1", "page x", "page x"),
+    ],
+    ids=["matrix-entry", "term", "diff", "layer", "facet", "graded-directive", "query"],
+)
+def test_errors_name_the_file_line(build, good, bad, at, tmp_path, capsys):
+    text = "# a scenario with one mistake\n\nfield QQ\n\n" + build.replace(good, bad)
+    if "queries" not in build:
+        text += QUERIES
+    lineno = text.splitlines().index(at) + 1
+    code, err = run_main(tmp_path, text, capsys)
+    assert code == 2
+    assert err.startswith(f"parse error: line {lineno}: ")
+
+
+@pytest.mark.parametrize(
+    "good, bad",
+    [
+        ("field QQ", "fields QQ"),
+        ("build simplicial", "buildup simplicial"),
+        ("facet z w", "facets z w"),
+    ],
+)
+def test_keywords_are_whole_tokens(good, bad, tmp_path, capsys):
+    text = (SCENARIOS / "simplicial_filtration.scn").read_text().replace(good, bad)
+    lineno = text.splitlines().index(bad) + 1
+    code, err = run_main(tmp_path, text, capsys)
+    assert code == 2
+    assert err.startswith(f"parse error: line {lineno}: unexpected line {bad!r}")
+
+
+def test_comments_and_blank_lines_inside_a_matrix_block(tmp_path, capsys):
+    text = TRUNCATION.replace("0 0 1\n", "# the only entry\n\n0 0 1\n") + QUERIES
+    code, err = run_main(tmp_path, text, capsys)
+    assert (code, err) == (0, "")
+
+
+def test_undecodable_scenario_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(b"\xff" + (SCENARIOS / "simplicial_filtration.scn").read_bytes())
+    assert cli.main([str(path)]) == 2
+    assert capsys.readouterr().err.startswith("cannot read scenario: ")

@@ -17,6 +17,7 @@ from specseq.errors import NotAComplex
 from specseq.fields import QQ, PrimeField
 from specseq.linalg import Matrix
 from specseq.randomized import random_chain_complex
+from specseq.text import Lines
 
 F101 = PrimeField(101)
 
@@ -184,8 +185,9 @@ def test_render_parse_round_trip():
         for _ in range(8):
             c = random_chain_complex(field, rng, top_degree=3, max_dim=4)
             text = render_complex(c)
-            parsed, consumed = parse_complex(text.splitlines())
-            assert consumed == len(text.splitlines())
+            lines = Lines(text)
+            parsed = parse_complex(lines)
+            assert lines.done
             assert render_complex(parsed) == text
             for n in c.degrees():
                 assert parsed.dim(n) == c.dim(n)

@@ -19,6 +19,7 @@ from specseq.filtration import (
 from specseq.linalg import Matrix, Subspace
 from specseq.randomized import random_chain_complex, random_filtered_complex
 from specseq.simplicial import SimplicialComplex, inclusion_map
+from specseq.text import Lines
 
 F101 = PrimeField(101)
 
@@ -202,8 +203,9 @@ def test_render_parse_round_trip():
     for field in (QQ, F101):
         fc, _ = random_filtered_complex(field, rng, top_degree=2, max_dim=4)
         text = render_filtered(fc)
-        parsed, consumed = parse_filtered(text.splitlines())
-        assert consumed == len(text.splitlines())
+        lines = Lines(text)
+        parsed = parse_filtered(lines)
+        assert lines.done
         assert parsed.p_min == fc.p_min and parsed.p_max == fc.p_max
         for p in fc.p_range:
             for n in fc.ambient.degrees():

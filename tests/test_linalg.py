@@ -24,6 +24,7 @@ from specseq.linalg import (
     render_matrix_machine,
     subspace_sum,
 )
+from specseq.text import Lines
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
@@ -479,9 +480,10 @@ def test_machine_matrix_round_trip():
         for _ in range(15):
             m = rand_matrix(field, rng, rng.randint(0, 5), rng.randint(0, 5))
             text = render_matrix_machine(m)
-            parsed, consumed = parse_matrix_machine(text.splitlines())
+            lines = Lines(text)
+            parsed = parse_matrix_machine(lines)
             assert parsed == m
-            assert consumed == len(text.splitlines())
+            assert lines.done
 
 
 @settings(max_examples=60)

@@ -10,6 +10,7 @@ from specseq.simplicial import (
     reduced_chain_complex,
     render_simplicial,
 )
+from specseq.text import Lines
 
 F2 = PrimeField(2)
 
@@ -99,14 +100,15 @@ def test_inclusion_rejects_non_subcomplex():
 def test_render_parse_round_trip():
     s = SimplicialComplex(["x", "y", "z", "w"], [["x", "y", "z"], ["z", "w"]])
     text = render_simplicial(s)
-    parsed, consumed = parse_simplicial(text.splitlines())
-    assert consumed == len(text.splitlines())
+    lines = Lines(text)
+    parsed = parse_simplicial(lines)
+    assert lines.done
     assert parsed.vertices == s.vertices
     assert parsed.all_faces() == s.all_faces()
 
 
 def test_parse_errors():
     with pytest.raises(ParseError):
-        parse_simplicial(["simplicial a b", "facet a b"])
+        parse_simplicial(Lines("simplicial a b\nfacet a b"))
     with pytest.raises(ParseError):
-        parse_simplicial(["wrong a b", "end-simplicial"])
+        parse_simplicial(Lines("wrong a b\nend-simplicial"))

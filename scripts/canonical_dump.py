@@ -1,4 +1,4 @@
-"""Print four sha256 lines over fixed sets of exact results, to compare two versions.
+"""Print five sha256 lines over fixed sets of exact results, to compare two versions.
 
 Usage: python3 scripts/canonical_dump.py    (imports tests/test_spectral.py,
 so pytest must be importable)
@@ -34,12 +34,20 @@ SpectralSequence per filtration, so later queries meet the values earlier
 ones stored; the filtrations are those of the first two hashes, 10 seeds
 each over the four fields, as generated and moved by `change_of_basis`.
 
+The fifth hash covers every page entry, page map and limit row of
+`from_simplicial` filtrations of seeded nested skeleta: each level is the
+k-skeleton of the simplex on a prefix of one vertex order, with the prefix
+and k shrinking down the list, and the levels below the top are listed in a
+seeded order.  There are 10 seeds over each of the four fields, each reduced
+and non-reduced.
+
 Two versions that print the same hash computed the same bytes for all of
 it, so a change meant to leave the answers alone can be checked in one run.
 """
 
 import hashlib
 import io
+from itertools import combinations
 import pathlib
 import random
 import sys
@@ -47,7 +55,12 @@ import sys
 from specseq import cli
 from specseq.complexes import hom_complex, render_complex, shift, tensor
 from specseq.fields import parse_field_token
-from specseq.filtration import hom_filtration, render_filtered, tensor_filtration
+from specseq.filtration import (
+    from_simplicial,
+    hom_filtration,
+    render_filtered,
+    tensor_filtration,
+)
 from specseq.linalg import (
     Matrix,
     echelonize,
@@ -59,6 +72,7 @@ from specseq.linalg import (
     render_matrix_machine,
 )
 from specseq.randomized import random_chain_complex, random_filtered_complex
+from specseq.simplicial import SimplicialComplex
 from specseq.spectral import SpectralSequence
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -139,6 +153,22 @@ def descending_lines(token, seed):
                 yield from entry_lines(r, pos, ss.entry(r, *pos))
                 yield f"map {r} {pos}"
                 yield render_matrix_machine(ss.differential(r, *pos))
+
+
+def skeleton_lines(token, seed, reduced):
+    field = parse_field_token(token)
+    rng = random.Random(seed)
+    vertices = [f"v{k}" for k in rng.sample(range(30), rng.randint(3, 6))]
+    sizes = sorted(rng.sample(range(1, len(vertices) + 1), rng.randint(2, 4)), reverse=True)
+    dims = sorted((rng.randint(0, 2) for _ in sizes), reverse=True)
+    levels = [
+        SimplicialComplex(vertices[:size], combinations(vertices[:size], min(k + 1, size)))
+        for size, k in zip(sizes, dims)
+    ]
+    rest = levels[1:]
+    rng.shuffle(rest)
+    yield f"skeleta {token} {seed} {reduced} {vertices} {sizes} {dims}"
+    yield from spectral_lines(from_simplicial([levels[0]] + rest, field, reduced=reduced))
 
 
 PRODUCT_QUERIES = "queries\npage 1\npage 2\ninfinity\ncompare\nend-queries\n"
@@ -233,6 +263,13 @@ def main():
             for line in descending_lines(token, seed):
                 descending.update(line.encode() + b"\n")
     print(descending.hexdigest())
+    skeleta = hashlib.sha256()
+    for token in FIELDS:
+        for seed in range(10):
+            for reduced in (True, False):
+                for line in skeleton_lines(token, seed, reduced):
+                    skeleta.update(line.encode() + b"\n")
+    print(skeleta.hexdigest())
     return 0
 
 

@@ -38,6 +38,7 @@ from .graded import (
     image_degree_breakdown,
     koszul_complex,
     minimal_free_resolution,
+    parse_poly,
     tensor_complex,
 )
 from .linalg import image, render_matrix_machine
@@ -81,6 +82,9 @@ def parse_scenario(text):
                 raise line.error("more than one build section")
             if len(words) < 2 or words[1] not in BUILDS:
                 raise line.error(f"bad build line {line.text!r}")
+            for option in words[2:]:
+                if option not in BUILDS[words[1]][2]:
+                    raise line.error(f"unknown build option {option!r}")
             body = lines.block("end-build", "missing 'end-build'")
             build = (words[1], tuple(words[2:]), body)
         elif line.text == "queries":
@@ -149,7 +153,7 @@ def _graded_directives(lines):
                 raise line.error("vars names no variables")
             names = args
         elif head == "relation":
-            relations.append(" ".join(args))
+            relations.append(line)
         elif head in ("length", "factor", "top-bound") and len(args) == 1:
             (numbers[head],) = line.ints(args)
             if head == "factor" and numbers[head] not in (0, 1):
@@ -172,8 +176,13 @@ def _build_simplicial(token, opts, complexes):
 
 def _build_graded(token, opts, directives):
     names, relations, numbers = directives
+    field = _need_field(token)
+    polys = [
+        line.build(ParseError, parse_poly, field, len(names), " ".join(line.words[1:]), names)
+        for line in relations
+    ]
     algebra = build_quotient_algebra(
-        _need_field(token), len(names), relations, top_bound=numbers["top-bound"], names=names
+        field, len(names), polys, top_bound=numbers["top-bound"], names=names
     )
     resolution = minimal_free_resolution(algebra, numbers["length"])
     expanded = expand(tensor_complex(resolution, koszul_complex(algebra)))
@@ -196,21 +205,21 @@ def _embedded(build):
 
 
 # build kind -> (readers of its blocks, in file order; builder called with the
-# field token, the build options and the blocks read)
+# field token, the build options and the blocks read; the options it takes)
 BUILDS = {
-    "simplicial": ((_simplicial_blocks,), _build_simplicial),
-    "filtered": ((parse_filtered,), _embedded(lambda fc: fc)),
-    "truncation": ((parse_complex,), _embedded(truncation_filtration)),
-    "tensor": ((parse_complex, parse_filtered), _embedded(tensor_filtration)),
-    "tensor-mirrored": ((parse_filtered, parse_complex), _embedded(tensor_filtration)),
-    "hom": ((parse_complex, parse_filtered), _embedded(hom_filtration)),
-    "graded": ((_graded_directives,), _build_graded),
+    "simplicial": ((_simplicial_blocks,), _build_simplicial, ("non-reduced",)),
+    "filtered": ((parse_filtered,), _embedded(lambda fc: fc), ()),
+    "truncation": ((parse_complex,), _embedded(truncation_filtration), ()),
+    "tensor": ((parse_complex, parse_filtered), _embedded(tensor_filtration), ()),
+    "tensor-mirrored": ((parse_filtered, parse_complex), _embedded(tensor_filtration), ()),
+    "hom": ((parse_complex, parse_filtered), _embedded(hom_filtration), ()),
+    "graded": ((_graded_directives,), _build_graded, ()),
 }
 
 
 def build_filtration(scenario, field_token):
     """Read the blocks of the scenario's build section and build their filtration."""
-    readers, build = BUILDS[scenario.build_kind]
+    readers, build, _ = BUILDS[scenario.build_kind]
     lines = scenario.build_lines.copy()
     blocks = [read(lines) for read in readers]
     if not lines.done:

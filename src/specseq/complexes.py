@@ -18,7 +18,7 @@ differential is d_c tensor 1 + (-1)^i 1 tensor d_d and the Hom differential
 Kronecker products.
 """
 
-from .errors import AmbientMismatch, MixedFields, NotAComplex
+from .errors import AmbientMismatch, MixedFields, NotAComplex, ParseError
 from .fields import parse_field_token
 from .linalg import (
     Matrix,
@@ -287,7 +287,8 @@ def render_complex(c):
 def parse_complex(lines):
     """Inverse of render_complex, read from a text.Lines cursor."""
     head = lines.header("complex", size=4)
-    field = parse_field_token(head.words[1])
+    field = head.build(ParseError, parse_field_token, head.words[1])
+    head.ints(head.words[2:], f"bad complex header {head.text!r}")
     labels = {}
     diffs = {}
     for line in lines.body("end-complex", "complex block not closed"):

@@ -10,7 +10,7 @@ spectral sequence uniform.
 from .complexes import _blocks, _kron, hom_complex, parse_complex, render_complex, tensor
 from .errors import MixedFields, NotNested
 from .linalg import Subspace, image, parse_matrix_machine, render_matrix_machine
-from .simplicial import inclusion_map, reduced_chain_complex
+from .simplicial import _face_positions, reduced_chain_complex
 
 
 class FilteredComplex:
@@ -92,6 +92,24 @@ class FilteredComplex:
         )
 
 
+def _nested_filtration(ambient, images, shift=0):
+    """Filtration by nested per-degree subspaces {n: Subspace}, as from_chain_maps."""
+    degrees = list(ambient.degrees())
+    images = sorted(images, key=lambda img: -sum(img[n].dim for n in degrees))
+    for big, small in zip(images, images[1:]):
+        for n in degrees:
+            if not big[n].contains(small[n]):
+                raise NotNested("images are not totally ordered by inclusion")
+    layers = {}
+    if not all(images[0][n].is_full for n in degrees):
+        layers[len(images) + shift] = {
+            n: Subspace.full(ambient.field, ambient.dim(n)) for n in degrees
+        }
+    for k, img in enumerate(images):
+        layers[len(images) - 1 - k + shift] = img
+    return FilteredComplex(ambient, layers)
+
+
 def from_chain_maps(maps, shift=0):
     """Filtration whose layers are the images of chain maps into one target.
 
@@ -108,43 +126,29 @@ def from_chain_maps(maps, shift=0):
             raise MixedFields("chain maps over different fields")
         if f.target != ambient:
             raise ValueError("all chain maps must share one target")
-    degrees = list(ambient.degrees())
-    images = []
-    for f in maps:
-        images.append({n: image(f.component(n)) for n in degrees})
-    order = sorted(
-        range(len(maps)),
-        key=lambda k: -sum(images[k][n].dim for n in degrees),
-    )
-    images = [images[k] for k in order]
-    for k in range(len(images) - 1):
-        big, small = images[k], images[k + 1]
-        for n in degrees:
-            if not big[n].contains(small[n]):
-                raise NotNested("images are not totally ordered by inclusion")
-    top_full = all(images[0][n].is_full for n in degrees)
-    layers = {}
-    if not top_full:
-        layers[len(images) + shift] = {
-            n: Subspace.full(ambient.field, ambient.dim(n)) for n in degrees
-        }
-    for k, img in enumerate(images):
-        layers[len(images) - 1 - k + shift] = img
-    return FilteredComplex(ambient, layers)
+    images = [{n: image(f.component(n)) for n in ambient.degrees()} for f in maps]
+    return _nested_filtration(ambient, images, shift)
 
 
 def from_simplicial(complexes, field, reduced=True):
-    """Filtration by a descending list of subcomplexes of the first entry."""
+    """Filtration by a descending list of subcomplexes of the first entry.
+
+    A subcomplex's layer is the image of its inclusion: the unit vectors at
+    its faces in the chain complex of the first entry, which is built once.
+    """
     if not complexes:
         raise ValueError("need at least one simplicial complex")
     top = complexes[0]
     ambient = reduced_chain_complex(top, field, reduced=reduced)
-    maps = [inclusion_map(s, top, field, reduced=reduced) for s in complexes]
-    # re-target every inclusion at the one ambient complex object
-    maps = [
-        type(f)(f.source, ambient, f.components, validate=False) for f in maps
+    positions = [_face_positions(s, top) for s in complexes]
+    images = [
+        {
+            n: Subspace.spanned_by_columns(field, ambient.dim(n), [{i: 1} for i in pos.get(n, ())])
+            for n in ambient.degrees()
+        }
+        for pos in positions
     ]
-    return from_chain_maps(maps)
+    return _nested_filtration(ambient, images)
 
 
 def truncation_filtration(c):

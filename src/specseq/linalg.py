@@ -18,7 +18,10 @@ table from pivot row to pivot column lets each incoming column be reduced
 against exactly the pivots its own nonzeros meet, as in the standard
 persistence algorithm; a last back-substitution pass makes the form
 reduced.  The result does not depend on which column supplies a pivot,
-because a reduced column echelon form is unique.
+because a reduced column echelon form is unique.  A kernel is read off one
+such form of the matrix's rows, taken with the column order reversed: the
+kernel vectors come out already in canonical form, so no identity block is
+stacked and nothing is eliminated twice.
 """
 
 from heapq import heapify, heappop, heappush
@@ -28,6 +31,7 @@ from .errors import (
     MixedFields,
     NotASubspace,
     NotWellDefined,
+    ParseError,
 )
 from .fields import QQ, parse_field_token
 
@@ -113,6 +117,8 @@ class Matrix:
 
         The matrix is read into columns once for the whole batch.
         """
+        if not vecs or not self.entries:
+            return [{} for _ in vecs]
         columns = self.column_dicts()
         p = self.field.characteristic
         out = []
@@ -240,11 +246,11 @@ def parse_matrix_machine(lines):
     """Inverse of render_matrix_machine, read from a text.Lines cursor."""
     head = lines.next("missing matrix header")
     rows, cols = head.ints(head.words[:2], f"bad matrix header {head.text!r}", size=3)
-    field = parse_field_token(head.words[2])
+    field = head.build(ParseError, parse_field_token, head.words[2])
     entries = {}
     for line in lines.body("end", "matrix block not closed with 'end'"):
         r, c = line.ints(line.words[:2], f"bad matrix entry {line.text!r}", size=3)
-        entries[(r, c)] = field.parse(line.words[2])
+        entries[(r, c)] = line.build(ParseError, field.parse, line.words[2])
     return head.build(IndexError, Matrix, field, rows, cols, entries)
 
 
@@ -252,21 +258,18 @@ def parse_matrix_machine(lines):
 # elimination engine
 
 
-def _reduce_columns(cols, scan_rows, p):
+def _reduce_columns(cols, p):
     """Column echelon form, not yet reduced, of sparse columns of raw scalars.
 
     p == 0 means QQ with Fraction entries, p > 0 means F_p with int residues.
-    Only rows below scan_rows are eliminated.  Each column is reduced in
-    increasing row order against the table of pivots found so far, visiting
-    only rows it holds or gains; its first row left with no pivot becomes a
-    new pivot, scaled to 1.  The column dicts are changed in place.  Returns
-    the table {pivot row: pivot column} and the other columns, which are zero
-    below scan_rows.
+    Each column is reduced in increasing row order against the table of
+    pivots found so far, visiting only rows it holds or gains; its first row
+    left with no pivot becomes a new pivot, scaled to 1.  The column dicts are
+    changed in place.  Returns the table {pivot row: pivot column}.
     """
     piv = {}
-    rest = []
     for col in cols:
-        heap = [i for i in col if i < scan_rows]
+        heap = list(col)
         heapify(heap)
         while heap:
             row = heappop(heap)
@@ -282,22 +285,20 @@ def _reduce_columns(cols, scan_rows, p):
                 piv[row] = col
                 break
             for k in pc:
-                if k < scan_rows and k not in col:
+                if k not in col:
                     heappush(heap, k)
             _add_multiple(col, -f, pc, p)
-        else:
-            rest.append(col)
-    return piv, rest
+    return piv
 
 
-def _py_rcef(cols, scan_rows, p):
+def _py_rcef(cols, p):
     """Reduced column echelon form of sparse columns of raw scalars.
 
     After _reduce_columns, a last pass from the highest pivot row down
     clears the other pivot rows from each pivot column.  Returns the pivot
     columns ordered by pivot row, and the pivot rows.
     """
-    piv, _ = _reduce_columns(cols, scan_rows, p)
+    piv = _reduce_columns(cols, p)
     order = sorted(piv)
     for row in reversed(order):
         col = piv[row]
@@ -307,16 +308,31 @@ def _py_rcef(cols, scan_rows, p):
 
 
 def _kernel_columns(field, columns, nrows):
-    """Canonical basis for the kernel of the map sending e_j to columns[j]."""
+    """Canonical basis for the kernel of the map sending e_j to columns[j].
+
+    The rows are eliminated once, with column j stored at index last - j:
+    each pivot row R_k of that reduced form, with pivot s_k, says x at
+    last - s_k is minus the sum of R_k[t] x at last - t over the free t.  So
+    each free index t gives the kernel vector with 1 at last - t and -R_k[t]
+    at last - s_k.  Every R_k[t] != 0 has t > s_k, so last - t is the first
+    row of that vector, and no other kernel vector meets it: the vectors,
+    taken by decreasing t, are already the reduced column echelon form.
+    """
     p = field.characteristic
-    stacked = [dict(c) for c in columns]
-    for j, col in enumerate(stacked):
-        col[nrows + j] = 1
-    # the columns that reduce to zero on top carry a kernel basis below; the
-    # pivot columns are dropped, so they need no back-substitution
-    _, rest = _reduce_columns(stacked, nrows, p)
-    lower = [{i - nrows: v for i, v in col.items()} for col in rest]
-    return _py_rcef(lower, len(columns), p)
+    last = len(columns) - 1
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows[i][last - j] = v
+    reduced, pivots = _py_rcef(rows, p)
+    bound = set(pivots)
+    free = [t for t in range(last, -1, -1) if t not in bound]
+    kern = {t: {last - t: 1} for t in free}
+    for s, row in zip(pivots, reduced):
+        for t, v in row.items():
+            if t != s:
+                kern[t][last - s] = p - v if p else -v
+    return [kern[t] for t in free], [last - t for t in free]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +379,7 @@ class Subspace:
                 ordered = sorted(rows)
                 return cls(field, ambient_dim, tuple({i: 1} for i in ordered), tuple(ordered))
         # the engine edits its columns in place, so it gets copies
-        cols, pivots = _py_rcef([dict(c) for c in columns], ambient_dim, field.characteristic)
+        cols, pivots = _py_rcef([dict(c) for c in columns], field.characteristic)
         return cls(field, ambient_dim, cols, pivots)
 
     @classmethod
@@ -443,7 +459,7 @@ def _check_pair(a, b):
 
 def echelonize(m):
     """Reduced column echelon form with the same shape; returns (matrix, rank)."""
-    cols, pivots = _py_rcef(m.column_dicts(), m.rows, m.field.characteristic)
+    cols, pivots = _py_rcef(m.column_dicts(), m.field.characteristic)
     out = Matrix.from_column_dicts(m.field, m.rows, cols)
     out.cols = m.cols
     return out, len(pivots)
@@ -451,7 +467,7 @@ def echelonize(m):
 
 def rank(m):
     # one pivot per independent column; the back-substitution is not needed
-    return len(_reduce_columns(m.column_dicts(), m.rows, m.field.characteristic)[0])
+    return len(_reduce_columns(m.column_dicts(), m.field.characteristic))
 
 
 def image(m):

@@ -88,26 +88,34 @@ def reduced_chain_complex(s, field, reduced=True):
     return ChainComplex(field, labels, diffs, validate=False)
 
 
-def inclusion_map(sub, sup, field, reduced=True):
-    """Basis-to-basis chain map of a subcomplex into its host."""
+def _face_positions(sub, sup):
+    """{k: index in sup.faces(k) of each face in sub.faces(k)}; NotASubcomplex
+    unless sub's vertex order is sup's and every face of sub is in sup."""
     order = {v: k for k, v in enumerate(sup.vertices)}
     positions = [order.get(v) for v in sub.vertices]
     if None in positions or positions != sorted(positions):
         raise NotASubcomplex("vertex orders are incompatible")
-    sup_faces = sup.all_faces()
-    for face in sub.all_faces():
-        if face not in sup_faces:
-            raise NotASubcomplex(f"face {face!r} is missing from the host complex")
+    out = {}
+    for k in range(-1, sub.dim + 1):
+        index = {f: i for i, f in enumerate(sup.faces(k))}
+        out[k] = []
+        for face in sub.faces(k):
+            if face not in index:
+                raise NotASubcomplex(f"face {face!r} is missing from the host complex")
+            out[k].append(index[face])
+    return out
+
+
+def inclusion_map(sub, sup, field, reduced=True):
+    """Basis-to-basis chain map of a subcomplex into its host."""
+    positions = _face_positions(sub, sup)
     src = reduced_chain_complex(sub, field, reduced=reduced)
     tgt = reduced_chain_complex(sup, field, reduced=reduced)
-    comps = {}
-    lo = -1 if reduced else 0
-    for k in range(lo, sub.dim + 1):
-        rows = {f: i for i, f in enumerate(sup.faces(k))}
-        entries = {}
-        for j, face in enumerate(sub.faces(k)):
-            entries[(rows[face], j)] = 1
-        comps[k] = Matrix(field, len(rows), len(sub.faces(k)), entries)
+    comps = {
+        k: Matrix(field, len(sup.faces(k)), len(rows), {(i, j): 1 for j, i in enumerate(rows)})
+        for k, rows in positions.items()
+        if k >= (-1 if reduced else 0)
+    }
     return ChainMap(src, tgt, comps, validate=False)
 
 

@@ -18,20 +18,31 @@ subquotients
     E^r(p, q) = Z^r(p, q) / (Z^{r-1}(p-1, q+1) + d Z^{r-1}(p+r-1, q-r+2)),
 
 and page maps are induced by the ambient differential on representatives.
-An entry is memoized on the cycle keys of its three cycle spaces and a page
-map on the keys of its source and target entries, so each distinct one is
-computed once.  Stabilization at each position falls out of the keys, not
-out of r_star: E^r(p, q) is one value for all r >= max(p - p_min + 1,
-p_max - p + 1).  `limit_comparison` keeps to kernel, image, intersect and subspace_sum: its
-E^inf check shares no code with the coordinate kernel.  The memo tables take
-no lock; dict.setdefault, atomic under the GIL, keeps the first value stored.
+An entry is memoized on the cycle keys of its three cycle spaces, so each
+distinct one is computed once.  Its denominator is one elimination of the
+basis of Z^{r-1}(p-1, q+1) with the nonzero d-images of that of
+Z^{r-1}(p+r-1, q-r+2), or the former itself when there are none.
+Stabilization at each position falls out of the keys, not out of r_star:
+E^r(p, q) is one value for all r >= max(p - p_min + 1, p_max - p + 1).
+
+A page map out of p <= p_max is memoized on its source entry key alone.  Two
+such queries share that key only where their clamped p and clamped p - r
+agree: both columns below the window, or one column with p - r < p_min at
+both.  Either way the target is zero and the map is the same 0 x dim matrix.
+Above p_max the source is zero at every r but the targets E^r(p - r, .)
+differ, so such a map is the dim x 0 zero matrix of its target, with no memo
+and no induced map.
+
+`limit_comparison` keeps to kernel, image, intersect and subspace_sum: its
+E^inf check shares no code with the coordinate kernel or the one-pass
+denominator.  The memo tables take no lock; dict.setdefault, atomic under
+the GIL, keeps the first value stored.
 """
 
 from .errors import ComparisonFailure
 from .linalg import (
     Matrix,
     Subspace,
-    apply_to_subspace,
     image,
     induced_map,
     intersect,
@@ -198,12 +209,15 @@ class SpectralSequence:
 
     def _compute_entry(self, key):
         top, below, arriving = key
-        pushed = apply_to_subspace(
-            self.source.ambient.diff(arriving[2]), self._cycles_at(arriving)
-        )
-        return quotient(
-            self._cycles_at(top), subspace_sum(self._cycles_at(below), pushed)
-        )
+        below = self._cycles_at(below)
+        lifts = self._cycles_at(arriving).basis_columns
+        pushed = [y for y in self.source.ambient.diff(arriving[2]).apply_all(lifts) if y]
+        if pushed:
+            # one elimination of Z^{r-1}(p-1) and d Z^{r-1}(p+r-1) together
+            below = Subspace.spanned_by_columns(
+                below.field, below.ambient_dim, below.basis_columns + tuple(pushed)
+            )
+        return quotient(self._cycles_at(top), below)
 
     def page(self, r):
         fc = self.source
@@ -223,11 +237,15 @@ class SpectralSequence:
         if r < 1:
             raise ValueError("page differentials start at r = 1")
         n = p + q
-        key = (self._entry_key(r, p, n), self._entry_key(r, p - r, n - 1))
-        return self._memo(self._diffs, key, lambda: self._compute_diff(key))
+        target = self._entry_key(r, p - r, n - 1)
+        if p > self.source.p_max:
+            # the source is zero; see the module docstring
+            rows = self._entry_at(target).dim
+            return Matrix.zeros(self.source.ambient.field, rows, 0)
+        key = self._entry_key(r, p, n)
+        return self._memo(self._diffs, key, lambda: self._compute_diff(key, target))
 
-    def _compute_diff(self, key):
-        src_key, tgt_key = key
+    def _compute_diff(self, src_key, tgt_key):
         return induced_map(
             self.source.ambient.diff(src_key[0][2]),
             self._entry_at(src_key),

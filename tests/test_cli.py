@@ -344,8 +344,32 @@ def run_main(tmp_path, text, capsys):
         (SIMPLICIAL, "facet x y", "facet x q", "simplicial x y"),
         (GRADED, "length 1", "length x", "length x"),
         (GRADED + "\nqueries\npage 1\nend-queries\n", "page 1", "page x", "page x"),
+        (TRUNCATION, "0 0 1", "0 0 x", "0 0 x"),
+        (TRUNCATION, "1 1 QQ", "1 1 F4", "1 1 F4"),
+        (TRUNCATION, "complex QQ 0 1", "complex Q 0 1", "complex Q 0 1"),
+        (TRUNCATION, "complex QQ 0 1", "complex QQ zz yy", "complex QQ zz yy"),
+        (GRADED, "relation x^2", "relation x^2 + z", "relation x^2 + z"),
+        (GRADED, "relation x^2", "relation", "relation"),
+        (SIMPLICIAL, "build simplicial", *["build simplicial nonreduced"] * 2),
+        (TRUNCATION, "build truncation", *["build truncation non-reduced"] * 2),
     ],
-    ids=["matrix-entry", "term", "diff", "layer", "facet", "graded-directive", "query"],
+    ids=[
+        "matrix-entry",
+        "term",
+        "diff",
+        "layer",
+        "facet",
+        "graded-directive",
+        "query",
+        "scalar",
+        "matrix-field",
+        "complex-field",
+        "complex-window",
+        "relation",
+        "empty-relation",
+        "build-option",
+        "option-of-another-build",
+    ],
 )
 def test_errors_name_the_file_line(build, good, bad, at, tmp_path, capsys):
     text = "# a scenario with one mistake\n\nfield QQ\n\n" + build.replace(good, bad)
@@ -371,6 +395,18 @@ def test_keywords_are_whole_tokens(good, bad, tmp_path, capsys):
     code, err = run_main(tmp_path, text, capsys)
     assert code == 2
     assert err.startswith(f"parse error: line {lineno}: unexpected line {bad!r}")
+
+
+def test_simplicial_build_takes_non_reduced():
+    outputs = []
+    for header in ("build simplicial", "build simplicial non-reduced"):
+        buf = io.StringIO()
+        text = "field QQ\n" + SIMPLICIAL.replace("build simplicial", header) + QUERIES
+        assert cli.run(text, out=buf) == 0
+        outputs.append(buf.getvalue())
+    # an edge has no reduced homology and one class in degree 0
+    assert outputs[0] == "page 1\n(empty)\n"
+    assert outputs[1] != outputs[0]
 
 
 def test_comments_and_blank_lines_inside_a_matrix_block(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import random
+from itertools import permutations
 
 import pytest
 
+from specseq import filtration, simplicial
 from specseq.complexes import ChainComplex, ChainMap
-from specseq.errors import NotNested
+from specseq.errors import NotASubcomplex, NotNested
 from specseq.fields import QQ, PrimeField
 from specseq.filtration import (
     FilteredComplex,
@@ -18,7 +20,7 @@ from specseq.filtration import (
 )
 from specseq.linalg import Matrix, Subspace
 from specseq.randomized import random_chain_complex, random_filtered_complex
-from specseq.simplicial import SimplicialComplex, inclusion_map
+from specseq.simplicial import SimplicialComplex, inclusion_map, reduced_chain_complex
 from specseq.text import Lines
 
 F101 = PrimeField(101)
@@ -132,6 +134,56 @@ def test_from_simplicial_matches_inclusions():
     assert fc.layer(1, 1).dim == 1
     assert fc.layer(0, -1).dim == 1
     fc.validate()
+
+
+def _simplicial_reference(complexes, field, reduced):
+    """from_simplicial as the composition of its parts: one inclusion per entry."""
+    maps = [inclusion_map(s, complexes[0], field, reduced=reduced) for s in complexes]
+    return from_chain_maps(maps)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (NotASubcomplex, NotNested) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=str)
+def test_from_simplicial_equals_the_inclusion_images(field, reduced):
+    big, mid, small = nested_triple()
+    # two subcomplexes of big that are not nested, and a vertex order at odds
+    # with big's
+    left = SimplicialComplex(["x", "y"], [["x", "y"]])
+    right = SimplicialComplex(["z", "w"], [["z", "w"]])
+    reordered = SimplicialComplex(["w", "x"], [["w"], ["x"]])
+    families = list(permutations([big, mid, small]))
+    families += [[big, left, right], [big, mid, reordered], [big, big, small], [small]]
+    raised = set()
+    for family in families:
+        got = _outcome(from_simplicial, list(family), field, reduced)
+        want = _outcome(_simplicial_reference, list(family), field, reduced)
+        assert got == want
+        if isinstance(got, tuple):
+            raised.add(got[0])
+        else:
+            assert got.ambient == reduced_chain_complex(family[0], field, reduced=reduced)
+    assert raised == {NotASubcomplex, NotNested}
+
+
+def test_from_simplicial_builds_one_chain_complex(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reduced_chain_complex(*args, **kwargs)
+
+    monkeypatch.setattr(filtration, "reduced_chain_complex", counted)
+    monkeypatch.setattr(simplicial, "reduced_chain_complex", counted)
+    big, mid, small = nested_triple()
+    from_simplicial([big, mid, small, small], QQ, reduced=False)
+    assert len(calls) == 1
 
 
 def test_truncation_layers():

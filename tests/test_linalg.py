@@ -355,20 +355,22 @@ def test_prime_and_rational_engines_agree():
         assert lifted == ep
 
 
-@pytest.mark.parametrize(
-    "rows, cols, density", [(30, 20, 0.08), (40, 90, 0.08), (100, 90, 0.03)]
-)
-@pytest.mark.parametrize("token", ["QQ", "F2", "F2147483647"])
-def test_engine_matches_sympy(token, rows, cols, density):
-    pytest.importorskip("sympy")
+def _sympy_values(field, dm):
+    """Rows of a sympy DomainMatrix as raw values of field."""
+    p = field.characteristic
+    if p:
+        # sympy prints residues as symmetric representatives
+        return [[int(x) % p for x in row] for row in dm.to_list()]
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in dm.to_list()]
+
+
+def _check_against_sympy(m):
     from sympy import GF
     from sympy import QQ as SQQ
     from sympy.polys.matrices import DomainMatrix
 
-    field = parse_field_token(token)
+    field, rows, cols = m.field, m.rows, m.cols
     p = field.characteristic
-    rng = random.Random(rows * 1000 + cols)
-    m = rand_matrix(field, rng, rows, cols, density=density)
     ref = DomainMatrix.from_list(
         [[m.entry(i, j).value for j in range(cols)] for i in range(rows)],
         GF(p) if p else SQQ,
@@ -377,16 +379,38 @@ def test_engine_matches_sympy(token, rows, cols, density):
     ref_rref, ref_pivots = ref.transpose().rref()
     ech, r = echelonize(m)
     assert r == len(ref_pivots) == rank(m)
-    if p:
-        # sympy prints residues as symmetric representatives
-        expected = [[int(x) % p for x in row] for row in ref_rref.transpose().to_list()]
-    else:
-        expected = [
-            [Fraction(int(x.numerator), int(x.denominator)) for x in row]
-            for row in ref_rref.transpose().to_list()
-        ]
+    expected = _sympy_values(field, ref_rref.transpose())
     assert [[ech.entry(i, j).value for j in range(cols)] for i in range(rows)] == expected
-    assert kernel(m).dim == cols - r
+    # the kernel basis, entry by entry, against sympy's nullspace in canonical
+    # form: the rows of its reduced row echelon form
+    ker = kernel(m)
+    assert ker.dim == cols - r
+    if ker.dim:
+        null_rref, _ = ref.nullspace().rref()
+        expected = _sympy_values(field, null_rref)
+    else:
+        expected = []
+    assert [[c.get(j, 0) for j in range(cols)] for c in ker.basis_columns] == expected
+
+
+@pytest.mark.parametrize(
+    "rows, cols, density", [(30, 20, 0.08), (40, 90, 0.08), (100, 90, 0.03)]
+)
+@pytest.mark.parametrize("token", ["QQ", "F2", "F2147483647"])
+def test_engine_matches_sympy(token, rows, cols, density):
+    pytest.importorskip("sympy")
+    field = parse_field_token(token)
+    rng = random.Random(rows * 1000 + cols)
+    _check_against_sympy(rand_matrix(field, rng, rows, cols, density=density))
+
+
+def test_engine_matches_sympy_tall_rank_deficient():
+    # 80 x 40 of rank at most 12: a tall matrix whose kernel is not zero
+    pytest.importorskip("sympy")
+    rng = random.Random(8040)
+    m = rand_matrix(QQ, rng, 80, 12, density=0.3) @ rand_matrix(QQ, rng, 12, 40, density=0.3)
+    assert kernel(m).dim >= 28
+    _check_against_sympy(m)
 
 
 def _stored_residues(values, p):

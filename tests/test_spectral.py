@@ -12,6 +12,7 @@ from specseq.linalg import (
     Matrix,
     apply_to_subspace,
     image,
+    induced_map,
     intersect,
     kernel,
     preimage,
@@ -309,36 +310,55 @@ def test_generic_cycles_on_non_coordinate_layers(field, monkeypatch):
 
 @pytest.mark.parametrize("field", FIELDS[:3], ids=str)
 def test_memo_keys_are_sound(field, monkeypatch):
-    # entries and page maps are memoized on the cycle spaces they are built
-    # from: queried from r_star + 1 down on one SpectralSequence, they must
-    # equal those of a fresh SpectralSequence, and an entry is one object for
-    # all r >= max(p - p_min + 1, p_max - p + 1)
+    # entries are memoized on the cycle spaces they are built from and page
+    # maps out of p <= p_max on their source entry: queried from r_star + 1
+    # down on one SpectralSequence, they must equal those of a fresh
+    # SpectralSequence and the map induced between the entries, and an entry
+    # is one object for all r >= max(p - p_min + 1, p_max - p + 1).  Columns
+    # up to p_max + r_star + 1 are queried: above p_max a source key repeats
+    # over targets of different dimension.
     calls = []
-    real = SpectralSequence._compute_entry
+    real_entry = SpectralSequence._compute_entry
+    real_diff = SpectralSequence._compute_diff
     monkeypatch.setattr(
         SpectralSequence,
         "_compute_entry",
-        lambda ss, key: calls.append((ss, key)) or real(ss, key),
+        lambda ss, key: calls.append((ss, "entry", key)) or real_entry(ss, key),
+    )
+    monkeypatch.setattr(
+        SpectralSequence,
+        "_compute_diff",
+        lambda ss, src, tgt: calls.append((ss, "diff", src)) or real_diff(ss, src, tgt),
     )
     for seed in range(3):
         rng = random.Random(seed)
         base, _ = random_filtered_complex(field, rng)
         for fc in (base, change_of_basis(base, rng)):
             ss = SpectralSequence(fc)
+            r_star = ss.r_star
             positions = [
                 (p, n - p)
-                for p in range(fc.p_min - 1, fc.p_max + 2)
+                for p in range(fc.p_min - 1, fc.p_max + r_star + 2)
                 for n in fc.ambient.degrees()
             ]
-            for r in range(ss.r_star + 1, 0, -1):
+            sources = set()
+            for r in range(r_star + 1, 0, -1):
                 for p, q in positions:
                     assert ss.entry(r, p, q) == SpectralSequence(fc).entry(r, p, q)
                     got = ss.differential(r, p, q)
                     assert got == SpectralSequence(fc).differential(r, p, q)
+                    d = fc.ambient.diff(p + q)
+                    target = ss.entry(r, p - r, q + r - 1)
+                    assert got == induced_map(d, ss.entry(r, p, q), target)
+                    if p <= fc.p_max:
+                        sources.add(ss._entry_key(r, p, p + q))
             for p, q in positions:
                 low = max(p - fc.p_min + 1, fc.p_max - p + 1)
-                for r in range(low + 1, ss.r_star + 2):
+                for r in range(low + 1, r_star + 2):
                     assert ss.entry(r, p, q) is ss.entry(low, p, q)
-            keys = [key for owner, key in calls if owner is ss]
-            assert len(keys) == len(set(keys))
-            assert len(keys) < len(positions) * (ss.r_star + 1)
+            for kind in ("entry", "diff"):
+                keys = [key for owner, k, key in calls if owner is ss and k == kind]
+                assert len(keys) == len(set(keys))
+                assert len(keys) < len(positions) * (r_star + 1)
+            # one induced map per distinct source entry key
+            assert set(keys) == sources

@@ -1,4 +1,4 @@
-"""Print five sha256 lines over fixed sets of exact results, to compare two versions.
+"""Print six sha256 lines over fixed sets of exact results, to compare two versions.
 
 Usage: python3 scripts/canonical_dump.py    (imports tests/test_spectral.py,
 so pytest must be importable)
@@ -41,12 +41,18 @@ and k shrinking down the list, and the levels below the top are listed in a
 seeded order.  There are 10 seeds over each of the four fields, each reduced
 and non-reduced.
 
+The sixth hash covers echelon forms, kernels, images, intersections,
+preimages and quotient coordinates of seeded random QQ matrices with
+entries Fraction(randint(-4, 4), randint(1, 4)): 30 of random shape, and
+10 tall rank-deficient products of a tall and a wide such matrix.
+
 Two versions that print the same hash computed the same bytes for all of
 it, so a change meant to leave the answers alone can be checked in one run.
 """
 
 import hashlib
 import io
+from fractions import Fraction
 from itertools import combinations
 import pathlib
 import random
@@ -205,23 +211,47 @@ def product_lines(token, seed):
                 yield buf.getvalue()
 
 
-def random_matrix(field, rng, rows, cols, density):
+def integer_entry(rng):
+    return rng.randint(-4, 4)
+
+
+def fraction_entry(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+
+def random_matrix(field, rng, rows, cols, density, draw=integer_entry):
     entries = {}
     for i in range(rows):
         for j in range(cols):
             if rng.random() < density:
-                entries[(i, j)] = field.element(rng.randint(-4, 4))
+                entries[(i, j)] = field.element(draw(rng))
     return Matrix(field, rows, cols, entries)
 
 
-def matrix_lines(token, seed):
+def matrix_lines(token, seed, draw=integer_entry):
     field = parse_field_token(token)
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 50), rng.randint(1, 50)
-    m = random_matrix(field, rng, rows, cols, rng.choice((0.05, 0.15, 0.4)))
-    other = random_matrix(field, rng, rows, rng.randint(1, 12), 0.3)
+    m = random_matrix(field, rng, rows, cols, rng.choice((0.05, 0.15, 0.4)), draw)
+    other = random_matrix(field, rng, rows, rng.randint(1, 12), 0.3, draw)
+    yield from operation_lines(f"matrix {token} {seed} {rows}x{cols}", m, other)
+
+
+def tall_lines(seed):
+    field = parse_field_token("QQ")
+    rng = random.Random(f"tall:{seed}")
+    rows, inner, cols = rng.randint(30, 60), rng.randint(2, 10), rng.randint(12, 25)
+    m = random_matrix(field, rng, rows, inner, 0.4, fraction_entry) @ random_matrix(
+        field, rng, inner, cols, 0.4, fraction_entry
+    )
+    other = random_matrix(field, rng, rows, rng.randint(1, 12), 0.3, fraction_entry)
+    yield from operation_lines(f"tall {seed} {rows}x{inner}x{cols}", m, other)
+
+
+def operation_lines(head, m, other):
+    field = m.field
     ech, r = echelonize(m)
-    yield f"matrix {token} {seed} {rows}x{cols} rank {r}"
+    yield f"{head} rank {r}"
     yield render_matrix_machine(ech)
     yield from render_subspace(kernel(m))
     img, img2 = image(m), image(other)
@@ -270,6 +300,14 @@ def main():
                 for line in skeleton_lines(token, seed, reduced):
                     skeleta.update(line.encode() + b"\n")
     print(skeleta.hexdigest())
+    fractions = hashlib.sha256()
+    for seed in range(30):
+        for line in matrix_lines("QQ", seed, fraction_entry):
+            fractions.update(line.encode() + b"\n")
+    for seed in range(10):
+        for line in tall_lines(seed):
+            fractions.update(line.encode() + b"\n")
+    print(fractions.hexdigest())
     return 0
 
 

@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     SpecseqError,
 )
-from .fields import parse_field_token
+from .fields import Field, parse_field_token
 from .filtration import (
     FilteredComplex,
     from_simplicial,
@@ -39,6 +39,7 @@ from .graded import (
     koszul_complex,
     minimal_free_resolution,
     parse_poly,
+    relation_degree,
     tensor_complex,
 )
 from .linalg import image, render_matrix_machine
@@ -57,7 +58,7 @@ class Query:
 
 @dataclass
 class Scenario:
-    field_token: str
+    field: Field | None
     build_kind: str
     build_opts: tuple
     build_lines: Lines
@@ -66,7 +67,7 @@ class Scenario:
 
 def parse_scenario(text):
     lines = Lines(text)
-    field_token = None
+    field = None
     build = None
     queries = None
     for line in lines:
@@ -74,9 +75,9 @@ def parse_scenario(text):
         if words[0] == "field":
             if len(words) != 2:
                 raise line.error(f"bad field line {line.text!r}")
-            if field_token is not None:
+            if field is not None:
                 raise line.error("field named twice")
-            field_token = words[1]
+            field = line.build(ParseError, parse_field_token, words[1])
         elif words[0] == "build":
             if build is not None:
                 raise line.error("more than one build section")
@@ -99,7 +100,7 @@ def parse_scenario(text):
         raise ParseError("scenario has no build section", line=lines.end)
     if queries is None:
         raise ParseError("scenario has no queries section", line=lines.end)
-    return Scenario(field_token, *build, queries)
+    return Scenario(field, *build, queries)
 
 
 def _parse_query(line):
@@ -125,10 +126,10 @@ def _parse_query(line):
     raise line.error(f"unknown query {line.text!r}")
 
 
-def _need_field(token):
-    if token is None:
+def _need_field(field):
+    if field is None:
         raise ParseError("no field named in the scenario or on the command line")
-    return parse_field_token(token)
+    return field
 
 
 def _simplicial_blocks(lines):
@@ -169,18 +170,22 @@ def _graded_directives(lines):
     return names, relations, numbers
 
 
-def _build_simplicial(token, opts, complexes):
+def _build_simplicial(field, opts, complexes):
     reduced = "non-reduced" not in opts
-    return from_simplicial(complexes, _need_field(token), reduced=reduced)
+    return from_simplicial(complexes, _need_field(field), reduced=reduced)
 
 
-def _build_graded(token, opts, directives):
+def _relation(line, field, names):
+    """The polynomial of a relation line; a bad one is reported at the line."""
+    poly = line.build(ParseError, parse_poly, field, len(names), " ".join(line.words[1:]), names)
+    line.build(ValueError, relation_degree, poly)
+    return poly
+
+
+def _build_graded(field, opts, directives):
     names, relations, numbers = directives
-    field = _need_field(token)
-    polys = [
-        line.build(ParseError, parse_poly, field, len(names), " ".join(line.words[1:]), names)
-        for line in relations
-    ]
+    field = _need_field(field)
+    polys = [_relation(line, field, names) for line in relations]
     algebra = build_quotient_algebra(
         field, len(names), polys, top_bound=numbers["top-bound"], names=names
     )
@@ -192,12 +197,12 @@ def _build_graded(token, opts, directives):
 def _embedded(build):
     """A builder of blocks that name their field; the scenario's must match each."""
 
-    def checked(token, opts, *blocks):
+    def checked(field, opts, *blocks):
         for block in blocks:
-            field = block.ambient.field if isinstance(block, FilteredComplex) else block.field
-            if token is not None and parse_field_token(token) != field:
+            own = block.ambient.field if isinstance(block, FilteredComplex) else block.field
+            if field is not None and field != own:
                 raise ParseError(
-                    f"scenario names field {token} but the block is over {field.token()}"
+                    f"scenario names field {field.token()} but the block is over {own.token()}"
                 )
         return build(*blocks)
 
@@ -205,7 +210,7 @@ def _embedded(build):
 
 
 # build kind -> (readers of its blocks, in file order; builder called with the
-# field token, the build options and the blocks read; the options it takes)
+# field or None, the build options and the blocks read; the options it takes)
 BUILDS = {
     "simplicial": ((_simplicial_blocks,), _build_simplicial, ("non-reduced",)),
     "filtered": ((parse_filtered,), _embedded(lambda fc: fc), ()),
@@ -217,14 +222,14 @@ BUILDS = {
 }
 
 
-def build_filtration(scenario, field_token):
+def build_filtration(scenario, field):
     """Read the blocks of the scenario's build section and build their filtration."""
     readers, build, _ = BUILDS[scenario.build_kind]
     lines = scenario.build_lines.copy()
     blocks = [read(lines) for read in readers]
     if not lines.done:
         raise lines.next(None).unexpected()
-    return build(field_token, scenario.build_opts, *blocks)
+    return build(field, scenario.build_opts, *blocks)
 
 
 def _degree_table(fc, n):
@@ -360,9 +365,9 @@ def run(text, field_override=None, threads=1, machine=False, check=False, out=No
     if out is None:
         out = sys.stdout
     scenario = parse_scenario(text)
-    token = field_override if field_override is not None else scenario.field_token
+    field = scenario.field if field_override is None else parse_field_token(field_override)
     try:
-        fc = build_filtration(scenario, token)
+        fc = build_filtration(scenario, field)
     except ParseError:
         raise
     except (SpecseqError, ValueError) as exc:

@@ -237,6 +237,16 @@ class GradedAlgebra:
         )
 
 
+def relation_degree(poly):
+    """Degree of a relation; ValueError for a zero, constant or inhomogeneous one."""
+    if not poly:
+        raise ValueError("zero relation")
+    deg = poly_degree(poly)
+    if deg == 0:
+        raise ValueError("constant relation collapses the algebra")
+    return deg
+
+
 def build_quotient_algebra(field, num_vars, gens, top_bound=64, names=None):
     """Quotient by homogeneous relations, degree by degree.
 
@@ -246,21 +256,15 @@ def build_quotient_algebra(field, num_vars, gens, top_bound=64, names=None):
     """
     names = list(names) if names else [f"x{i + 1}" for i in range(num_vars)]
     relations = []
+    by_degree = {}
     for g in gens:
         poly = (
             parse_poly(field, num_vars, g, names)
             if isinstance(g, str)
             else _clean_poly(field, g)
         )
-        if not poly:
-            raise ValueError("zero relation")
-        deg = poly_degree(poly)
-        if deg == 0:
-            raise ValueError("constant relation collapses the algebra")
         relations.append(poly)
-    by_degree = {}
-    for poly in relations:
-        by_degree.setdefault(poly_degree(poly), []).append(poly)
+        by_degree.setdefault(relation_degree(poly), []).append(poly)
     basis = {}
     reducers = {}
     d = 0

@@ -17,14 +17,21 @@ Elimination: both fields go through one sparse column algorithm.  A lookup
 table from pivot row to pivot column lets each incoming column be reduced
 against exactly the pivots its own nonzeros meet, as in the standard
 persistence algorithm; a last back-substitution pass makes the form
-reduced.  The result does not depend on which column supplies a pivot,
-because a reduced column echelon form is unique.  A kernel is read off one
-such form of the matrix's rows, taken with the column order reversed: the
-kernel vectors come out already in canonical form, so no identity block is
-stacked and nothing is eliminated twice.
+reduced.  Over F_p every pivot is scaled to 1.  Over QQ the elimination is
+fraction-free: each column is multiplied by the lcm of its denominators,
+pivot columns are kept as primitive integer vectors, an update
+col = a*col - f*pc is followed by removing the column's content, and each
+pivot column is divided by its pivot once, at the end.  The result does not
+depend on which column supplies a pivot or how columns are scaled on the
+way, because a reduced column echelon form is unique.  A kernel is read off
+one such form of the matrix's rows, taken with the column order reversed:
+the kernel vectors come out already in canonical form, so no identity block
+is stacked and nothing is eliminated twice.
 """
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .errors import (
     AmbientMismatch,
@@ -33,7 +40,7 @@ from .errors import (
     NotWellDefined,
     ParseError,
 )
-from .fields import QQ, parse_field_token
+from .fields import parse_field_token
 
 
 def _add_multiple(vec, f, col, p=0):
@@ -258,17 +265,53 @@ def parse_matrix_machine(lines):
 # elimination engine
 
 
+def _scaled_step(col, f, pc, a):
+    """col = a*col - f*pc over ZZ, clearing the row of pc's pivot a != 1.
+
+    a and f are first divided by their gcd.  If col was scaled, its content
+    is removed after the update: that keeps the entries near the size of
+    those of the final form, where they would otherwise grow by the product
+    of the multipliers a.
+    """
+    g = gcd(a, f)
+    if g != 1:
+        a //= g
+        f //= g
+    if a != 1:
+        for k, v in col.items():
+            col[k] = a * v
+    _add_multiple(col, -f, pc)
+    if a != 1:
+        g = gcd(*col.values())
+        if g > 1:
+            for k, v in col.items():
+                col[k] = v // g
+
+
 def _reduce_columns(cols, p):
     """Column echelon form, not yet reduced, of sparse columns of raw scalars.
 
-    p == 0 means QQ with Fraction entries, p > 0 means F_p with int residues.
-    Each column is reduced in increasing row order against the table of
-    pivots found so far, visiting only rows it holds or gains; its first row
-    left with no pivot becomes a new pivot, scaled to 1.  The column dicts are
-    changed in place.  Returns the table {pivot row: pivot column}.
+    p > 0 means F_p with int residues: each pivot column is scaled so its
+    pivot is 1 and every update is col -= f*pc.  p == 0 means QQ and is
+    fraction-free: each column is first multiplied by the lcm of its
+    denominators, pivot columns are kept as primitive integer vectors with a
+    positive pivot a, and an update is col = a*col - f*pc (`_scaled_step`;
+    a pivot of 1 takes the plain update).  Each column is reduced in
+    increasing row order against the table of pivots found so far, visiting
+    only rows it holds or gains; its first row left with no pivot becomes a
+    new pivot.  The column dicts are changed in place.  Returns the table
+    {pivot row: pivot column}.
     """
     piv = {}
     for col in cols:
+        if not p:
+            for v in col.values():
+                if v.__class__ is not int:
+                    # an integral Fraction has denominator 1: it becomes an int
+                    m = lcm(*[x.denominator for x in col.values()])
+                    for k, x in col.items():
+                        col[k] = x.numerator * (m // x.denominator)
+                    break
         heap = list(col)
         heapify(heap)
         while heap:
@@ -279,15 +322,28 @@ def _reduce_columns(cols, p):
             pc = piv.get(row)
             if pc is None:
                 if f != 1:
-                    inv = pow(f, p - 2, p) if p else QQ.invert(f)
-                    for k, v in col.items():
-                        col[k] = v * inv % p if p else v * inv
+                    if p:
+                        inv = pow(f, p - 2, p)
+                        for k, v in col.items():
+                            col[k] = v * inv % p
+                    else:
+                        # primitive with a positive pivot; the content divides
+                        # the pivot, so a pivot of -1 needs no gcd
+                        g = 1 if f == -1 else gcd(*col.values())
+                        if f < 0:
+                            g = -g
+                        if g != 1:
+                            for k, v in col.items():
+                                col[k] = v // g
                 piv[row] = col
                 break
             for k in pc:
                 if k not in col:
                     heappush(heap, k)
-            _add_multiple(col, -f, pc, p)
+            if p or pc[row] == 1:
+                _add_multiple(col, -f, pc, p)
+            else:
+                _scaled_step(col, f, pc, pc[row])
     return piv
 
 
@@ -295,15 +351,28 @@ def _py_rcef(cols, p):
     """Reduced column echelon form of sparse columns of raw scalars.
 
     After _reduce_columns, a last pass from the highest pivot row down
-    clears the other pivot rows from each pivot column.  Returns the pivot
-    columns ordered by pivot row, and the pivot rows.
+    clears the other pivot rows from each pivot column, with the same update.
+    Over QQ each pivot column is then divided by its pivot, once, and an
+    integral quotient is stored as an int.  Returns the pivot columns
+    ordered by pivot row, and the pivot rows.
     """
     piv = _reduce_columns(cols, p)
     order = sorted(piv)
     for row in reversed(order):
         col = piv[row]
         for k in [k for k in col if k != row and k in piv]:
-            _add_multiple(col, -col[k], piv[k], p)
+            if p or piv[k][k] == 1:
+                _add_multiple(col, -col[k], piv[k], p)
+            else:
+                _scaled_step(col, col[k], piv[k], piv[k][k])
+    if not p:
+        for row in order:
+            col = piv[row]
+            d = col[row]
+            if d != 1:
+                for k, v in col.items():
+                    q, r = divmod(v, d)
+                    col[k] = Fraction(v, d) if r else q
     return [piv[row] for row in order], order
 
 
@@ -563,7 +632,9 @@ class QuotientPresentation:
         coords, residual = helper.reduce(partial)
         if residual:
             raise NotASubspace("vector outside the presented subquotient")
-        return coords
+        # the entries of partial are sums of products, so over QQ an integral
+        # one can still be a Fraction
+        return [self.field.scalar(c) for c in coords]
 
     def __eq__(self, other):
         return (

@@ -332,7 +332,8 @@ def run_main(tmp_path, text, capsys):
 
 # (build section, its good line, the bad line put in its place, the line an
 # error is reported at); comments and blank lines above the build section
-# keep section-relative and file line numbers apart
+# keep section-relative and file line numbers apart, and the scenario's own
+# `field QQ` line can be the good line too
 @pytest.mark.parametrize(
     "build, good, bad, at",
     [
@@ -352,6 +353,10 @@ def run_main(tmp_path, text, capsys):
         (GRADED, "relation x^2", "relation", "relation"),
         (SIMPLICIAL, "build simplicial", *["build simplicial nonreduced"] * 2),
         (TRUNCATION, "build truncation", *["build truncation non-reduced"] * 2),
+        (SIMPLICIAL, "field QQ", "field Q", "field Q"),
+        (GRADED, "relation x^2", "relation x - x", "relation x - x"),
+        (GRADED, "relation x^2", "relation 3", "relation 3"),
+        (GRADED, "relation x^2", "relation x^2 + x", "relation x^2 + x"),
     ],
     ids=[
         "matrix-entry",
@@ -369,10 +374,14 @@ def run_main(tmp_path, text, capsys):
         "empty-relation",
         "build-option",
         "option-of-another-build",
+        "scenario-field",
+        "zero-relation",
+        "constant-relation",
+        "inhomogeneous-relation",
     ],
 )
 def test_errors_name_the_file_line(build, good, bad, at, tmp_path, capsys):
-    text = "# a scenario with one mistake\n\nfield QQ\n\n" + build.replace(good, bad)
+    text = ("# a scenario with one mistake\n\nfield QQ\n\n" + build).replace(good, bad)
     if "queries" not in build:
         text += QUERIES
     lineno = text.splitlines().index(at) + 1

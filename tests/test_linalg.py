@@ -24,6 +24,8 @@ from specseq.linalg import (
     render_matrix_machine,
     subspace_sum,
 )
+from specseq.randomized import random_filtered_complex
+from specseq.spectral import SpectralSequence
 from specseq.text import Lines
 
 F7 = PrimeField(7)
@@ -36,6 +38,18 @@ def rand_matrix(field, rng, rows, cols, density=0.6):
         for _ in range(rows)
     ]
     return Matrix.from_rows(field, data)
+
+
+def rand_fraction_matrix(rng, rows, cols, density=0.6):
+    """QQ matrix with entries Fraction(randint(-4, 4), randint(1, 4))."""
+    data = [
+        [
+            Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < density else 0
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+    return Matrix.from_rows(QQ, data)
 
 
 def rand_subspace(field, rng, ambient, count):
@@ -394,7 +408,7 @@ def _check_against_sympy(m):
 
 
 @pytest.mark.parametrize(
-    "rows, cols, density", [(30, 20, 0.08), (40, 90, 0.08), (100, 90, 0.03)]
+    "rows, cols, density", [(30, 20, 0.08), (40, 90, 0.08), (100, 90, 0.03), (100, 90, 0.08)]
 )
 @pytest.mark.parametrize("token", ["QQ", "F2", "F2147483647"])
 def test_engine_matches_sympy(token, rows, cols, density):
@@ -411,6 +425,53 @@ def test_engine_matches_sympy_tall_rank_deficient():
     m = rand_matrix(QQ, rng, 80, 12, density=0.3) @ rand_matrix(QQ, rng, 12, 40, density=0.3)
     assert kernel(m).dim >= 28
     _check_against_sympy(m)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, density", [(30, 20, 0.3), (20, 30, 0.3), (60, 50, 0.08)]
+)
+def test_engine_matches_sympy_on_fractions(rows, cols, density):
+    # non-integral entries: every column's denominators are cleared first
+    pytest.importorskip("sympy")
+    rng = random.Random(rows * 1000 + cols + 7)
+    _check_against_sympy(rand_fraction_matrix(rng, rows, cols, density=density))
+
+
+def test_engine_matches_sympy_on_fractions_tall_rank_deficient():
+    pytest.importorskip("sympy")
+    rng = random.Random(6020)
+    m = rand_fraction_matrix(rng, 60, 8, 0.4) @ rand_fraction_matrix(rng, 8, 20, 0.4)
+    assert kernel(m).dim >= 12
+    _check_against_sympy(m)
+
+
+def _stored_rationals(values):
+    """Stored rationals are nonzero ints or non-integral Fractions."""
+    return all(
+        (type(v) is int or (type(v) is Fraction and v.denominator != 1)) and v for v in values
+    )
+
+
+def test_stored_rationals_are_normalized():
+    # an integral Fraction such as Fraction(-4, 1) is stored as the int -4;
+    # random_filtered_complex(QQ) with seed 7 has one in a page map
+    rng = random.Random(56)
+    for _ in range(200):
+        m = rand_fraction_matrix(rng, 5, 6)
+        ech, _ = echelonize(m)
+        assert _stored_rationals(ech.entries.values())
+        for sub in (kernel(m), image(m)):
+            for col in sub.basis_columns:
+                assert _stored_rationals(col.values())
+    for seed in range(20):
+        fc, _ = random_filtered_complex(QQ, random.Random(seed))
+        ss = SpectralSequence(fc)
+        for r in range(1, ss.r_star + 1):
+            for pres in ss.page(r).entries.values():
+                for col in pres.rep_columns:
+                    assert _stored_rationals(col.values())
+            for d in ss.page_map(r).matrices.values():
+                assert _stored_rationals(d.entries.values())
 
 
 def _stored_residues(values, p):

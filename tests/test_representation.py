@@ -1,9 +1,10 @@
 """Every scalar the library stores is a raw field value.
 
 Over F_p that is an int in [1, p) (stored scalars are never zero); over QQ
-an int or a Fraction.  A float (say from 1 / f on an int pivot), a residue
-left unreduced, or a FieldElement anywhere inside a matrix, a subspace
-basis, a quotient presentation or a coordinate list fails these checks.
+an int, or a Fraction that is not integral.  A float (say from 1 / f on an
+int pivot), an integral Fraction, a residue left unreduced, or a
+FieldElement anywhere inside a matrix, a subspace basis, a quotient
+presentation or a coordinate list fails these checks.
 """
 
 import pathlib
@@ -24,7 +25,7 @@ def is_raw(field, v):
     p = field.characteristic
     if p:
         return type(v) is int and 0 <= v < p
-    return type(v) in (int, Fraction)
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
 
 def column_values(columns):
@@ -62,7 +63,7 @@ def representation_faults(ss):
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda path: path.stem)
 def test_bundled_scenarios_store_raw_scalars(scenario, token):
     parsed = cli.parse_scenario(scenario.read_text())
-    fc = cli.build_filtration(parsed, token or parsed.field_token)
+    fc = cli.build_filtration(parsed, parse_field_token(token) if token else parsed.field)
     ss = SpectralSequence(fc)
     assert ss.limit_comparison().ok
     assert representation_faults(ss) == []

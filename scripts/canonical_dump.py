@@ -16,7 +16,8 @@ The second hash covers every page entry, page map and limit row of the same
 seeded random filtrations moved by a random unitriangular change of basis
 (`change_of_basis` in tests/test_spectral.py), 25 each over the four fields.
 Their layers are in general not spanned by basis vectors, so this line
-covers the generic preimage-and-intersect route to the cycle spaces.
+covers cycle spaces cut from layers whose basis columns have rows besides
+their pivots.
 
 The third hash covers the tensor and Hom builders, over the four fields:
   - `render_complex` of `tensor` and `hom_complex` of seeded random

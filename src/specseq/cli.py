@@ -343,14 +343,14 @@ def _run_query(ss, query, machine, threads, out):
         return 0
     if query.kind == "image-length":
         m = ss.differential(query.r, query.p, query.q)
-        img = image(m)
-        line = f"image-length {query.r} {query.p} {query.q} {img.dim}"
         table = _degree_table(ss.source, query.p + query.q - 1)
-        if table is not None and img.dim:
+        if table is None:
+            dim, br = image(m).dim, {}
+        else:
             target = ss.entry(query.r, query.p - query.r, query.q + query.r - 1)
-            _, br = image_degree_breakdown(m, class_degrees(target, table))
-            line += "".join(f" {d}:{c}" for d, c in sorted(br.items()))
-        print(line, file=out)
+            dim, br = image_degree_breakdown(m, class_degrees(target, table))
+        line = f"image-length {query.r} {query.p} {query.q} {dim}"
+        print(line + "".join(f" {d}:{c}" for d, c in sorted(br.items())), file=out)
         return 0
     if query.kind == "compare":
         report = ss.limit_comparison(strict=False)

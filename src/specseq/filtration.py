@@ -143,7 +143,7 @@ def from_simplicial(complexes, field, reduced=True):
     positions = [_face_positions(s, top) for s in complexes]
     images = [
         {
-            n: Subspace.spanned_by_columns(field, ambient.dim(n), [{i: 1} for i in pos.get(n, ())])
+            n: Subspace.coordinate(field, ambient.dim(n), sorted(pos.get(n, ())))
             for n in ambient.degrees()
         }
         for pos in positions
@@ -231,8 +231,8 @@ def from_basis_levels(ambient, levels):
             lvls = levels.get(n, [])
             if len(lvls) != ambient.dim(n):
                 raise ValueError(f"need one level per basis vector in degree {n}")
-            cols = [{k: 1} for k, lv in enumerate(lvls) if lv <= p]
-            per[n] = Subspace.spanned_by_columns(field, ambient.dim(n), cols)
+            rows = [k for k, lv in enumerate(lvls) if lv <= p]
+            per[n] = Subspace.coordinate(field, ambient.dim(n), rows)
         layers[p] = per
     return FilteredComplex(ambient, layers)
 

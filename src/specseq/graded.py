@@ -24,11 +24,9 @@ from .linalg import (
     Matrix,
     Subspace,
     _add_multiple,
-    apply_to_subspace,
     image,
     kernel,
     quotient,
-    subspace_sum,
 )
 
 
@@ -518,14 +516,13 @@ def minimal_free_resolution(algebra, length_limit):
             k_d = ker[d]
             if k_d.is_zero:
                 continue
-            mk = Subspace.zero(field, k_d.ambient_dim)
+            # m K_d: one span of the x_i-images of the kernel a degree below
+            images = []
             below = prev_kernel.get(d - 1)
-            if below is not None and not below.is_zero:
+            if below is not None:
                 for i in range(algebra.num_vars):
-                    step = apply_to_subspace(current.mult_matrix(i, d - 1), below)
-                    if not step.is_zero:
-                        mk = subspace_sum(mk, step)
-            pres = quotient(k_d, mk)
+                    images += current.mult_matrix(i, d - 1).apply_all(below.basis_columns)
+            pres = quotient(k_d, Subspace.spanned_by_columns(field, k_d.ambient_dim, images))
             for rep in pres.rep_columns:
                 chosen.append((d, rep))
             prev_kernel[d] = k_d

@@ -26,7 +26,9 @@ depend on which column supplies a pivot or how columns are scaled on the
 way, because a reduced column echelon form is unique.  A kernel is read off
 one such form of the matrix's rows, taken with the column order reversed:
 the kernel vectors come out already in canonical form, so no identity block
-is stacked and nothing is eliminated twice.
+is stacked and nothing is eliminated twice.  `_cut`, the vectors of a
+subspace that a map sends into another one, is the subspace's basis times
+one such kernel; it makes cycle spaces, preimages and intersections.
 """
 
 from fractions import Fraction
@@ -59,6 +61,29 @@ def _add_multiple(vec, f, col, p=0):
             vec.pop(k, None)
 
 
+def _combine(columns, vecs, p=0):
+    """The sums of vec[j] * columns[j], one new sparse vector per vec in vecs.
+
+    Over QQ a sum of products of Fractions can be integral; it is stored as
+    an int, as fields.py asks of every stored rational.
+    """
+    out = []
+    for vec in vecs:
+        img = {}
+        for j, f in vec.items():
+            if img or f != 1:
+                _add_multiple(img, f, columns[j], p)
+            else:
+                # a copy: every reduced basis vector has a 1 at its pivot
+                img = dict(columns[j])
+        if not p:
+            for k, v in img.items():
+                if v.__class__ is Fraction and v.denominator == 1:
+                    img[k] = v.numerator
+        out.append(img)
+    return out
+
+
 class Matrix:
     """Sparse exact matrix; absent entries are zero, stored ones never are."""
 
@@ -85,7 +110,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, n, n, {(i, i): 1 for i in range(n)})
+        out = cls(field, n, n)
+        out.entries = {(i, i): 1 for i in range(n)}
+        return out
 
     @classmethod
     def from_rows(cls, field, rows_data):
@@ -126,16 +153,7 @@ class Matrix:
         """
         if not vecs or not self.entries:
             return [{} for _ in vecs]
-        columns = self.column_dicts()
-        p = self.field.characteristic
-        out = []
-        for vec in vecs:
-            img = {}
-            for j, f in vec.items():
-                if f:
-                    _add_multiple(img, f, columns[j], p)
-            out.append(img)
-        return out
+        return _combine(self.column_dicts(), vecs, self.field.characteristic)
 
     def apply(self, vec):
         """Image of a column vector given as a dict {row: scalar}."""
@@ -165,8 +183,9 @@ class Matrix:
             return NotImplemented
         self._same_shape(other)
         out = Matrix(self.field, self.rows, self.cols)
-        out.entries = dict(self.entries)
-        _add_multiple(out.entries, 1, other.entries, self.field.characteristic)
+        # the entries, keyed by (row, col), are added as two sparse vectors
+        p = self.field.characteristic
+        (out.entries,) = _combine([self.entries, other.entries], [{0: 1, 1: 1}], p)
         return out
 
     def __sub__(self, other):
@@ -180,8 +199,7 @@ class Matrix:
     def scale(self, scalar):
         scalar = self.field.scalar(scalar)
         out = Matrix(self.field, self.rows, self.cols)
-        if scalar:
-            _add_multiple(out.entries, scalar, self.entries, self.field.characteristic)
+        (out.entries,) = _combine([self.entries], [{0: scalar}], self.field.characteristic)
         return out
 
     def transpose(self):
@@ -220,24 +238,6 @@ class Matrix:
             body = " ".join(cells[i][j].rjust(widths[j]) for j in range(self.cols))
             lines.append(f"| {body} |" if self.cols else "| |")
         return "\n".join(lines)
-
-
-def hstack(mats):
-    field = mats[0].field
-    rows = mats[0].rows
-    entries = {}
-    offset = 0
-    for m in mats:
-        if m.field != field:
-            raise MixedFields("hstack across fields")
-        if m.rows != rows:
-            raise AmbientMismatch("hstack row mismatch")
-        for (i, j), v in m.entries.items():
-            entries[(i, j + offset)] = v
-        offset += m.cols
-    out = Matrix(field, rows, offset)
-    out.entries = entries
-    return out
 
 
 def render_matrix_machine(m):
@@ -376,23 +376,20 @@ def _py_rcef(cols, p):
     return [piv[row] for row in order], order
 
 
-def _kernel_columns(field, columns, nrows):
-    """Canonical basis for the kernel of the map sending e_j to columns[j].
+def _kernel_columns(rows, ncols, p):
+    """Canonical basis for the kernel of a matrix with ncols columns, and
+    the first row of each kernel vector.
 
-    The rows are eliminated once, with column j stored at index last - j:
-    each pivot row R_k of that reduced form, with pivot s_k, says x at
-    last - s_k is minus the sum of R_k[t] x at last - t over the free t.  So
-    each free index t gives the kernel vector with 1 at last - t and -R_k[t]
-    at last - s_k.  Every R_k[t] != 0 has t > s_k, so last - t is the first
-    row of that vector, and no other kernel vector meets it: the vectors,
-    taken by decreasing t, are already the reduced column echelon form.
+    rows are the matrix's nonzero rows with column j stored at index
+    last - j.  They are eliminated once: each pivot row R_k of the reduced
+    form, with pivot s_k, says x at last - s_k is minus the sum of R_k[t] x
+    at last - t over the free t.  So each free index t gives the kernel
+    vector with 1 at last - t and -R_k[t] at last - s_k.  Every R_k[t] != 0
+    has t > s_k, so last - t is the first row of that vector, and no other
+    kernel vector meets it: the vectors, taken by decreasing t, are already
+    the reduced column echelon form.
     """
-    p = field.characteristic
-    last = len(columns) - 1
-    rows = [{} for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            rows[i][last - j] = v
+    last = ncols - 1
     reduced, pivots = _py_rcef(rows, p)
     bound = set(pivots)
     free = [t for t in range(last, -1, -1) if t not in bound]
@@ -411,14 +408,14 @@ def _kernel_columns(field, columns, nrows):
 class Subspace:
     """Linear subspace of k^n held as a canonical reduced column echelon basis."""
 
-    __slots__ = ("field", "ambient_dim", "basis_columns", "pivots", "_pivot_index")
+    __slots__ = ("field", "ambient_dim", "basis_columns", "pivots", "_indexes")
 
     def __init__(self, field, ambient_dim, basis_columns, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis_columns = tuple(basis_columns)
         self.pivots = tuple(pivots)
-        self._pivot_index = None
+        self._indexes = None
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -426,12 +423,12 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        return cls(
-            field,
-            ambient_dim,
-            tuple({i: 1} for i in range(ambient_dim)),
-            tuple(range(ambient_dim)),
-        )
+        return cls.coordinate(field, ambient_dim, range(ambient_dim))
+
+    @classmethod
+    def coordinate(cls, field, ambient_dim, rows):
+        """Span of the unit vectors at rows, given increasing: its own canonical basis."""
+        return cls(field, ambient_dim, tuple({i: 1} for i in rows), tuple(rows))
 
     @classmethod
     def spanned_by_columns(cls, field, ambient_dim, columns):
@@ -440,13 +437,6 @@ class Subspace:
             for i in col:
                 if not 0 <= i < ambient_dim:
                     raise AmbientMismatch(f"coordinate {i} outside k^{ambient_dim}")
-        # unit-vector spans come up constantly (coordinate filtrations); skip
-        # elimination when the columns are visibly already an echelon basis
-        if all(len(c) == 1 for c in columns):
-            rows = {next(iter(c)) for c in columns}
-            if len(rows) == len(columns):
-                ordered = sorted(rows)
-                return cls(field, ambient_dim, tuple({i: 1} for i in ordered), tuple(ordered))
         # the engine edits its columns in place, so it gets copies
         cols, pivots = _py_rcef([dict(c) for c in columns], field.characteristic)
         return cls(field, ambient_dim, cols, pivots)
@@ -470,33 +460,45 @@ class Subspace:
     def basis_matrix(self):
         return Matrix.from_column_dicts(self.field, self.ambient_dim, self.basis_columns)
 
-    def _readoff(self, vec):
-        """Nonzero coordinates as (basis index, scalar) pairs, and the residual.
-
-        The basis is reduced, so the coordinate along basis column k is the
-        vector's own entry at pivot row k; only those entries are visited.
-        """
-        index = self._pivot_index
-        if index is None:
-            index = self._pivot_index = {pr: k for k, pr in enumerate(self.pivots)}
-        residual = {i: v for i, v in vec.items() if v}
-        hits = [(index[i], v) for i, v in residual.items() if i in index]
-        p = self.field.characteristic
-        for k, f in hits:
-            _add_multiple(residual, -f, self.basis_columns[k], p)
-        return hits, residual
+    def _index(self):
+        """Pivot row -> basis index, and pivot row -> column for the columns
+        with other rows; built once in one assignment, so threads see both."""
+        if self._indexes is None:
+            self._indexes = (
+                {pr: k for k, pr in enumerate(self.pivots)},
+                {pr: c for pr, c in zip(self.pivots, self.basis_columns) if len(c) > 1},
+            )
+        return self._indexes
 
     def reduce(self, vec):
-        """Echelon readoff: coordinates along the basis plus the residual."""
-        hits, residual = self._readoff(vec)
+        """Echelon readoff: coordinates along the basis plus the residual.
+
+        The basis is reduced, so the coordinate along basis column k is the
+        vector's own entry at pivot row k.
+        """
+        index = self._index()[0]
         coords = [0] * len(self.pivots)
-        for k, f in hits:
-            coords[k] = f
-        return coords, residual
+        for i in index.keys() & vec.keys():
+            coords[index[i]] = vec[i]
+        return coords, self.residual(vec)
 
     def residual(self, vec):
-        """What is left of vec after subtracting its part along the basis."""
-        return self._readoff(vec)[1]
+        """What is left of vec after subtracting its part along the basis.
+
+        Subtracting vec's entry at pivot row k times basis column k clears
+        that row and, the basis being reduced, no other pivot row.  So the
+        residual is vec off the pivot rows, less those multiples of the
+        columns that have rows other than their pivot.
+        """
+        index, tailed = self._index()
+        residual = {i: v for i, v in vec.items() if v and i not in index}
+        p = self.field.characteristic
+        for i in tailed.keys() & vec.keys():
+            f = vec[i]
+            if f:
+                _add_multiple(residual, -f, tailed[i], p)
+                residual.pop(i, None)
+        return residual
 
     def contains_vector(self, vec):
         return not self.residual(vec)
@@ -544,7 +546,12 @@ def image(m):
 
 
 def kernel(m):
-    cols, pivots = _kernel_columns(m.field, m.column_dicts(), m.rows)
+    rows = [{} for _ in range(m.rows)]
+    last = m.cols - 1
+    for (i, j), v in m.entries.items():
+        rows[i][last - j] = v
+    p = m.field.characteristic
+    cols, pivots = _kernel_columns([r for r in rows if r], m.cols, p)
     return Subspace(m.field, m.cols, cols, pivots)
 
 
@@ -559,27 +566,55 @@ def subspace_sum(a, b):
     )
 
 
+def _cut(sub, m, w):
+    """The vectors x of sub with m x in w, as a canonical subspace.
+
+    The residual modulo w's reduced basis is a linear map R_w, so with B the
+    basis of sub the answer is B K, for K the canonical kernel of R_w m B:
+    one elimination.  B is reduced, so column k of B K holds K at B's pivot
+    rows: its first nonzero is a 1 at the pivot row of B's column s_k, for
+    s_k the pivot of K's column k, and it is 0 at the pivot rows of the
+    other s_l.  So B K is canonical as it stands.  R_w m B is built on its
+    rows, as _kernel_columns takes them.  The image of a basis column with
+    no row but its pivot r is m's column r, read off m's entries.  R_w
+    subtracts row q times entry i of w's basis column at pivot q from each
+    row i, and drops w's pivot rows.  When R_w m B = 0 the answer is sub.
+    """
+    if sub.is_zero or m.is_zero or w.is_full:
+        return sub
+    p = sub.field.characteristic
+    index, tailed = sub._index()
+    last = len(index) - 1
+    slot = {r: last - j for r, j in index.items() if r not in tailed}
+    rows = [{} for _ in range(m.rows)]
+    for (i, r), v in m.entries.items():
+        t = slot.get(r)
+        if t is not None:
+            rows[i][t] = v
+    for r, y in zip(tailed, m.apply_all(list(tailed.values()))):
+        t = last - index[r]
+        for i, v in y.items():
+            rows[i][t] = v
+    windex, wtailed = w._index()
+    for q, col in wtailed.items():
+        if rows[q]:
+            for i, c in col.items():
+                if i != q:
+                    _add_multiple(rows[i], -c, rows[q], p)
+    rows = [row for i, row in enumerate(rows) if row and i not in windex]
+    if not rows:
+        return sub
+    kern, firsts = _kernel_columns(rows, len(index), p)
+    cols = _combine(sub.basis_columns, kern, p)
+    return Subspace(sub.field, sub.ambient_dim, cols, [sub.pivots[j] for j in firsts])
+
+
 def intersect(a, b):
     _check_pair(a, b)
-    if a.is_full:
-        return b
-    if b.is_full:
-        return a
-    if a.is_zero or b.is_zero:
-        return Subspace.zero(a.field, a.ambient_dim)
-    acols = list(a.basis_columns)
-    combined = acols + list(b.basis_columns)
-    kern, _ = _kernel_columns(a.field, combined, a.ambient_dim)
-    p = a.field.characteristic
-    vectors = []
-    for col in kern:
-        vec = {}
-        for j, f in col.items():
-            if j < len(acols):
-                _add_multiple(vec, f, acols[j], p)
-        if vec:
-            vectors.append(vec)
-    return Subspace.spanned_by_columns(a.field, a.ambient_dim, vectors)
+    if b.dim < a.dim:
+        # the kernel has a column per basis vector of the space cut
+        a, b = b, a
+    return _cut(a, Matrix.identity(a.field, a.ambient_dim), b)
 
 
 def preimage(m, w):
@@ -588,15 +623,7 @@ def preimage(m, w):
         raise MixedFields("preimage across fields")
     if m.rows != w.ambient_dim:
         raise AmbientMismatch("preimage target dimension mismatch")
-    if w.is_full:
-        return Subspace.full(m.field, m.cols)
-    # m x + w y = 0 exactly when m x = w (-y) lies in w, so the kernel of
-    # [m | basis of w] projects onto the preimage
-    kern, _ = _kernel_columns(m.field, m.column_dicts() + list(w.basis_columns), m.rows)
-    projected = [
-        {j: f for j, f in col.items() if j < m.cols} for col in kern
-    ]
-    return Subspace.spanned_by_columns(m.field, m.cols, [c for c in projected if c])
+    return _cut(Subspace.full(m.field, m.cols), m, w)
 
 
 class QuotientPresentation:

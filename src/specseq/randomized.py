@@ -55,10 +55,10 @@ def random_filtered_complex(field, rng, top_degree=3, max_dim=6, max_width=4):
     for n in range(1, top_degree + 1):
         cols = []
         for k in range(dims[n]):
-            allowed = Subspace.spanned_by_columns(
+            allowed = Subspace.coordinate(
                 field,
                 dims[n - 1],
-                [{i: 1} for i, lv in enumerate(prev_levels) if lv <= levels[n][k]],
+                [i for i, lv in enumerate(prev_levels) if lv <= levels[n][k]],
             )
             cols.append(_random_vector_in(field, rng, intersect(ker, allowed)))
         m = Matrix.from_column_dicts(field, dims[n - 1], cols)

@@ -9,11 +9,10 @@ on first use.  The cycle spaces
 only depend on the pair of filtration indices clamped into
 [p_min - 1, p_max], so each is keyed by its cycle key (cap_hi, cap_lo, n).
 When cap_lo = cap_hi (r <= 0, or both indices past one end of the window)
-Z^r is the layer itself and is read off the filtration.  For coordinate
-layers, whose basis columns are all unit vectors, Z^r(p, q) = ker(d
-restricted to the columns of F_p and the rows outside F_{p-r}): one kernel
-in place of a preimage and an intersection.  Page entries are the standard
-subquotients
+Z^r is the layer itself and is read off the filtration.  Every other Z^r
+is linalg._cut of layer(p, n) by d into layer(p - r, n - 1): one
+elimination, on coordinate layers and others alike.  Page entries are the
+standard subquotients
 
     E^r(p, q) = Z^r(p, q) / (Z^{r-1}(p-1, q+1) + d Z^{r-1}(p+r-1, q-r+2)),
 
@@ -33,21 +32,22 @@ Above p_max the source is zero at every r but the targets E^r(p - r, .)
 differ, so such a map is the dim x 0 zero matrix of its target, with no memo
 and no induced map.
 
-`limit_comparison` keeps to kernel, image, intersect and subspace_sum: its
-E^inf check shares no code with the coordinate kernel or the one-pass
-denominator.  The memo tables take no lock; dict.setdefault, atomic under
-the GIL, keeps the first value stored.
+`limit_comparison` keeps to kernel, image, intersect and subspace_sum.  It
+shares no code with the one-pass denominator, but intersect is the _cut
+that makes the cycle spaces, so tests/test_spectral.py checks _cut against
+a stacked-kernel reference.  The memo tables take no lock; dict.setdefault,
+atomic under the GIL, keeps the first value stored.
 """
 
 from .errors import ComparisonFailure
 from .linalg import (
     Matrix,
     Subspace,
+    _cut,
     image,
     induced_map,
     intersect,
     kernel,
-    preimage,
     quotient,
     subspace_sum,
 )
@@ -120,22 +120,6 @@ class LimitReport:
         return "\n".join(out)
 
 
-def _coordinate_cycles(d, cols, dropped):
-    """Kernel of d on the unit vectors at cols, with the rows in dropped ignored.
-
-    Kernel index k lifts to cols[k]; cols increases, so the lifted basis is
-    still the reduced column echelon form of the same subspace.
-    """
-    index = {j: k for k, j in enumerate(cols)}
-    restricted = Matrix(d.field, d.rows, len(cols))
-    restricted.entries = {
-        (i, index[j]): v for (i, j), v in d.entries.items() if j in index and i not in dropped
-    }
-    ker = kernel(restricted)
-    lifted = [{cols[k]: v for k, v in c.items()} for c in ker.basis_columns]
-    return Subspace(d.field, d.cols, lifted, [cols[k] for k in ker.pivots])
-
-
 class SpectralSequence:
     __slots__ = ("source", "_cycles", "_entries", "_diffs")
 
@@ -181,16 +165,7 @@ class SpectralSequence:
 
     def _compute_cycles(self, cap_hi, cap_lo, n):
         fc = self.source
-        top = fc.layer(cap_hi, n)
-        if top.is_zero:
-            return top
-        target = fc.layer(cap_lo, n - 1)
-        d = fc.ambient.diff(n)
-        if target.is_full or d.is_zero:
-            return top
-        if all(len(c) == 1 for c in top.basis_columns + target.basis_columns):
-            return _coordinate_cycles(d, top.pivots, set(target.pivots))
-        return intersect(top, preimage(d, target))
+        return _cut(fc.layer(cap_hi, n), fc.ambient.diff(n), fc.layer(cap_lo, n - 1))
 
     # -- pages ---------------------------------------------------------------
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,6 @@ from specseq.linalg import (
     Subspace,
     apply_to_subspace,
     echelonize,
-    hstack,
     image,
     induced_map,
     intersect,
@@ -74,12 +75,6 @@ def test_matmul_literal():
     assert a @ b == Matrix.from_rows(QQ, [[7, 2], [3, 1]])
     with pytest.raises(AmbientMismatch):
         a @ Matrix.zeros(QQ, 3, 3)
-
-
-def test_hstack():
-    a = Matrix.from_rows(QQ, [[1], [0]])
-    b = Matrix.from_rows(QQ, [[0, 2], [1, 0]])
-    assert hstack([a, b]) == Matrix.from_rows(QQ, [[1, 0, 2], [0, 1, 0]])
 
 
 def test_echelon_literal():
@@ -209,6 +204,40 @@ def test_zero_and_full():
     assert z.dim == 0 and z.is_zero
     assert f.dim == 4 and f.is_full
     assert f.contains(z)
+
+
+def test_first_reads_of_a_shared_subspace_race_safely():
+    # a subspace builds its pivot index on first read; threads that read a
+    # fresh one at once must all see a complete index
+    rng = random.Random(3)
+    vecs = [rand_matrix(F101, rng, 40, 1).column_dict(0) for _ in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(60):
+            sub = rand_subspace(F101, rng, 40, 20)
+            fresh = Subspace(F101, 40, sub.basis_columns, sub.pivots)
+            want = [sub.residual(v) for v in vecs]
+            got, errors = [None] * 8, []
+            start = threading.Barrier(8)
+
+            def read(k):
+                start.wait()
+                try:
+                    got[k] = [fresh.residual(v) for v in vecs]
+                except Exception as exc:  # recorded for the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert all(g == want for g in got)
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_sum_intersection_dimension_formula():
@@ -472,6 +501,22 @@ def test_stored_rationals_are_normalized():
                     assert _stored_rationals(col.values())
             for d in ss.page_map(r).matrices.values():
                 assert _stored_rationals(d.entries.values())
+
+
+def test_matrix_arithmetic_and_cuts_store_normalized_rationals():
+    # sums of products of Fractions can be integral: [1/2 1/2] @ [1 1]^T = 1
+    half = Matrix.from_rows(QQ, [[Fraction(1, 2), Fraction(1, 2)]])
+    ones = Matrix.from_rows(QQ, [[1], [1]])
+    for m in (half @ ones, half + half, half - half.scale(-1), half.scale(2)):
+        assert _stored_rationals(m.entries.values())
+    rng = random.Random(57)
+    for _ in range(100):
+        m = rand_fraction_matrix(rng, 5, 6)
+        w = image(rand_fraction_matrix(rng, 5, 3))
+        a, b = image(rand_fraction_matrix(rng, 6, 4)), image(rand_fraction_matrix(rng, 6, 4))
+        for sub in (preimage(m, w), intersect(a, b)):
+            for col in sub.basis_columns:
+                assert _stored_rationals(col.values())
 
 
 def _stored_residues(values, p):

@@ -1,15 +1,17 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 
-from specseq import spectral
+from specseq import linalg
 from specseq.complexes import ChainComplex, homology_rank
 from specseq.errors import ComparisonFailure
 from specseq.fields import QQ, PrimeField
 from specseq.filtration import FilteredComplex, from_simplicial
 from specseq.linalg import (
     Matrix,
+    Subspace,
     apply_to_subspace,
     image,
     induced_map,
@@ -259,38 +261,57 @@ def change_of_basis(fc, rng):
     return FilteredComplex(ChainComplex(field, labels, diffs), layers)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_coordinate_cycles_match_generic_path(field, monkeypatch):
-    # coordinate layers never reach preimage; the generic subspace is
-    # recomputed here with the linalg functions themselves
-    def no_preimage(m, w):
-        raise AssertionError("coordinate layers took the preimage path")
+def stacked_preimage(m, w):
+    """Reference preimage, not built on linalg._cut: m x + w y = 0 exactly
+    when m x lies in w, so the kernel of [m | basis of w] projects onto it."""
+    stacked = Matrix.from_column_dicts(
+        m.field, m.rows, m.column_dicts() + list(w.basis_columns)
+    )
+    projected = [
+        {j: f for j, f in col.items() if j < m.cols} for col in kernel(stacked).basis_columns
+    ]
+    return Subspace.spanned_by_columns(m.field, m.cols, projected)
 
-    monkeypatch.setattr(spectral, "preimage", no_preimage)
+
+def stacked_intersect(a, b):
+    """Reference a cap b, not built on linalg._cut: the a-part of each kernel
+    vector of [basis of a | basis of b], taken in a."""
+    acols = list(a.basis_columns)
+    stacked = Matrix.from_column_dicts(a.field, a.ambient_dim, acols + list(b.basis_columns))
+    parts = [
+        {j: f for j, f in col.items() if j < len(acols)} for col in kernel(stacked).basis_columns
+    ]
+    basis = Matrix.from_column_dicts(a.field, a.ambient_dim, acols)
+    return Subspace.spanned_by_columns(a.field, a.ambient_dim, basis.apply_all(parts))
+
+
+def assert_cycles_match_stacked_reference(fc):
+    ss = SpectralSequence(fc)
+    amb = fc.ambient
+    for r in range(1, ss.r_star + 1):
+        for p in range(fc.p_min - 1, fc.p_max + 2):
+            for n in amb.degrees():
+                want = stacked_intersect(
+                    fc.layer(p, n), stacked_preimage(amb.diff(n), fc.layer(p - r, n - 1))
+                )
+                got = ss.cycles(r, p, n - p)
+                assert got.pivots == want.pivots
+                assert got.basis_columns == want.basis_columns
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_coordinate_cycles_match_generic_path(field):
+    # the generic subspace is recomputed with the stacked-kernel reference
     inputs = [nested_filtration(field)]
     inputs += [random_filtered_complex(field, random.Random(s))[0] for s in range(6)]
     for fc in inputs:
-        ss = SpectralSequence(fc)
-        amb = fc.ambient
-        for r in range(1, ss.r_star + 1):
-            for p in range(fc.p_min - 1, fc.p_max + 2):
-                for n in amb.degrees():
-                    generic = intersect(
-                        fc.layer(p, n), preimage(amb.diff(n), fc.layer(p - r, n - 1))
-                    )
-                    got = ss.cycles(r, p, n - p)
-                    assert got.pivots == generic.pivots
-                    assert got.basis_columns == generic.basis_columns
+        assert_cycles_match_stacked_reference(fc)
 
 
-@pytest.mark.parametrize("field", (QQ, F101), ids=str)
-def test_generic_cycles_on_non_coordinate_layers(field, monkeypatch):
-    calls = []
-    real = spectral.preimage
-    monkeypatch.setattr(
-        spectral, "preimage", lambda m, w: calls.append(w) or real(m, w)
-    )
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_generic_cycles_on_non_coordinate_layers(field):
     non_coordinate = 0
+    fractions = False
     for seed in range(12):
         rng = random.Random(seed)
         fc, _ = random_filtered_complex(field, rng)
@@ -300,12 +321,89 @@ def test_generic_cycles_on_non_coordinate_layers(field, monkeypatch):
             for p in moved.p_range
             for n in moved.ambient.degrees()
         )
+        fractions |= any(
+            type(v) is Fraction
+            for n in moved.ambient.degrees()
+            for v in moved.ambient.diff(n).entries.values()
+        )
+        assert_cycles_match_stacked_reference(moved)
         ss, ss_moved = SpectralSequence(fc), SpectralSequence(moved)
         for r in range(1, ss.r_star + 1):
             assert ss_moved.page(r).dims() == ss.page(r).dims()
         assert ss_moved.limit_comparison().ok
     assert non_coordinate
-    assert calls
+    assert fractions == (field is QQ)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_preimage_and_intersect_match_stacked_reference(field):
+    rng = random.Random(23)
+
+    def rand_matrix(rows, cols):
+        entries = {
+            (i, j): field.random_element(rng)
+            for i in range(rows)
+            for j in range(cols)
+            if rng.random() < 0.5
+        }
+        return Matrix(field, rows, cols, entries)
+
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = rand_matrix(rows, cols)
+        w, a, b = (image(rand_matrix(rows, rng.randint(0, rows))) for _ in range(3))
+        for got, want in (
+            (preimage(m, w), stacked_preimage(m, w)),
+            (intersect(a, b), stacked_intersect(a, b)),
+            (intersect(b, a), stacked_intersect(a, b)),
+        ):
+            assert got.pivots == want.pivots
+            assert got.basis_columns == want.basis_columns
+
+
+@pytest.mark.parametrize("field", (QQ, F101), ids=str)
+def test_one_elimination_per_cycle_space_preimage_and_intersect(field, monkeypatch):
+    # each cycle space, preimage and intersection is one elimination, or
+    # none where every image already lies in the target (for an
+    # intersection, where one space contains the other)
+    calls = []
+    real = linalg._py_rcef
+    monkeypatch.setattr(linalg, "_py_rcef", lambda cols, p: calls.append(p) or real(cols, p))
+
+    def eliminations(compute):
+        calls.clear()
+        compute()
+        return len(calls)
+
+    def maps_into(m, sub, w):
+        return all(w.contains_vector(y) for y in m.apply_all(sub.basis_columns))
+
+    seen = {"cycles": set(), "preimage": set(), "intersect": set()}
+    for seed in range(8):
+        rng = random.Random(seed)
+        fc, _ = random_filtered_complex(field, rng)
+        moved = change_of_basis(fc, rng)
+        ss = SpectralSequence(moved)
+        amb = moved.ambient
+        for r in range(1, ss.r_star + 1):
+            for p in moved.p_range:
+                for n in amb.degrees():
+                    key = ss._cycle_key(r, p, n)
+                    if key[0] == key[1]:
+                        continue
+                    top, d = moved.layer(key[0], n), amb.diff(n)
+                    target = moved.layer(key[1], n - 1)
+                    count = eliminations(lambda: ss._compute_cycles(*key))
+                    assert count == int(not maps_into(d, top, target))
+                    seen["cycles"].add(count)
+                    count = eliminations(lambda: preimage(d, target))
+                    assert count == int(not maps_into(d, Subspace.full(field, d.cols), target))
+                    seen["preimage"].add(count)
+                    ker = kernel(d)
+                    count = eliminations(lambda: intersect(top, ker))
+                    assert count == int(not (top.contains(ker) or ker.contains(top)))
+                    seen["intersect"].add(count)
+    assert all(1 in counts for counts in seen.values())
 
 
 @pytest.mark.parametrize("field", FIELDS[:3], ids=str)

@@ -1,4 +1,4 @@
-"""Print six sha256 lines over fixed sets of exact results, to compare two versions.
+"""Print seven sha256 lines over fixed sets of exact results, to compare two versions.
 
 Usage: python3 scripts/canonical_dump.py    (imports tests/test_spectral.py,
 so pytest must be importable)
@@ -47,6 +47,12 @@ preimages and quotient coordinates of seeded random QQ matrices with
 entries Fraction(randint(-4, 4), randint(1, 4)): 30 of random shape, and
 10 tall rank-deficient products of a tall and a wide such matrix.
 
+The seventh hash covers the graded builders over QQ, F2 and F101:
+`render_complex` of expand(tensor_complex(minimal_free_resolution(A, L),
+koszul_complex(A))), and every page entry, page map and limit row of both
+`factor_filtration`s of it, for A square-zero in 2 and in 3 variables and
+the complete intersection of the squares of 3 variables.
+
 Two versions that print the same hash computed the same bytes for all of
 it, so a change meant to leave the answers alone can be checked in one run.
 """
@@ -62,6 +68,14 @@ import sys
 from specseq import cli
 from specseq.complexes import hom_complex, render_complex, shift, tensor
 from specseq.fields import parse_field_token
+from specseq.graded import (
+    build_quotient_algebra,
+    expand,
+    factor_filtration,
+    koszul_complex,
+    minimal_free_resolution,
+    tensor_complex,
+)
 from specseq.filtration import (
     from_simplicial,
     hom_filtration,
@@ -212,6 +226,25 @@ def product_lines(token, seed):
                 yield buf.getvalue()
 
 
+# (number of variables, relations, resolution length)
+GRADED_ALGEBRAS = (
+    (2, ["x^2", "x*y", "y^2"], 4),
+    (3, ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 2),
+    (3, ["x^2", "y^2", "z^2"], 3),
+)
+
+
+def graded_lines(token, nvars, relations, length):
+    alg = build_quotient_algebra(parse_field_token(token), nvars, relations, names="xyz"[:nvars])
+    res = minimal_free_resolution(alg, length)
+    ex = expand(tensor_complex(res, koszul_complex(alg)))
+    yield f"graded {token} {relations} {length}"
+    yield render_complex(ex)
+    for factor in (0, 1):
+        yield f"factor {factor}"
+        yield from spectral_lines(factor_filtration(ex, factor))
+
+
 def integer_entry(rng):
     return rng.randint(-4, 4)
 
@@ -309,6 +342,12 @@ def main():
         for line in tall_lines(seed):
             fractions.update(line.encode() + b"\n")
     print(fractions.hexdigest())
+    graded = hashlib.sha256()
+    for token in ("QQ", "F2", "F101"):
+        for nvars, relations, length in GRADED_ALGEBRAS:
+            for line in graded_lines(token, nvars, relations, length):
+                graded.update(line.encode() + b"\n")
+    print(graded.hexdigest())
     return 0
 
 

@@ -12,6 +12,9 @@ whose basis labels remember generator, monomial, and internal degree.
 Monomials are exponent tuples ordered by descending lexicographic order
 within each degree, so the leading term of a reduced polynomial is its
 first monomial.
+
+The one product is `GradedAlgebra.times`: module maps expand through it,
+and the resolution gets m K from the module maps "multiply by x_i".
 """
 
 from collections import namedtuple
@@ -162,9 +165,8 @@ class GradedAlgebra:
         "relations",
         "top_degree",
         "_basis",
-        "_basis_index",
         "_reducers",
-        "_mult",
+        "_products",
     )
 
     def __init__(self, field, num_vars, names, relations, basis, reducers, top_degree):
@@ -174,11 +176,8 @@ class GradedAlgebra:
         self.relations = tuple(relations)
         self.top_degree = top_degree
         self._basis = basis
-        self._basis_index = {
-            d: {m: i for i, m in enumerate(mons)} for d, mons in basis.items()
-        }
         self._reducers = reducers
-        self._mult = {}
+        self._products = {}
 
     def basis(self, d):
         return self._basis.get(d, ())
@@ -210,23 +209,23 @@ class GradedAlgebra:
                 out[all_monos[i]] = c
         return out
 
-    def mult(self, i, d):
-        """Matrix of multiplication by the i-th variable, basis(d) -> basis(d+1)."""
-        key = (i, d)
-        cached = self._mult.get(key)
-        if cached is not None:
-            return cached
-        src = self.basis(d)
-        tgt_index = self._basis_index.get(d + 1, {})
-        unit = tuple(1 if k == i else 0 for k in range(self.num_vars))
-        entries = {}
-        for j, mono in enumerate(src):
-            prod = self.reduce({monomial_mul(mono, unit): 1})
-            for m2, c in prod.items():
-                entries[(tgt_index[m2], j)] = c
-        m = Matrix(self.field, len(tgt_index), len(src), entries)
-        self._mult[key] = m
-        return m
+    def times(self, poly, mono):
+        """Normal form of a reduced polynomial times a monomial.
+
+        reduce is linear, so this sums the normal forms of t * mono over
+        poly's terms t.  Each is kept per pair (t, mono) and stored in one
+        dict assignment, so threads sharing the algebra see it whole."""
+        p = self.field.characteristic
+        products = self._products
+        out = {}
+        for t, c in poly.items():
+            key = (t, mono)
+            form = products.get(key)
+            if form is None:
+                form = self.reduce({monomial_mul(t, mono): 1})
+                products[key] = form
+            _add_multiple(out, c, form, p)
+        return out
 
     def __repr__(self):
         return (
@@ -283,9 +282,8 @@ def build_quotient_algebra(field, num_vars, gens, top_bound=64, names=None):
                         {mono_pos[monomial_mul(shift, m)]: c for m, c in poly.items()}
                     )
         reducer = Subspace.spanned_by_columns(field, len(all_monos), cols)
-        standard = [
-            m for i, m in enumerate(all_monos) if i not in set(reducer.pivots)
-        ]
+        pivots = set(reducer.pivots)
+        standard = [m for i, m in enumerate(all_monos) if i not in pivots]
         if not standard:
             top_degree = d - 1
             break
@@ -356,22 +354,6 @@ class GradedFreeModule:
             counts[g] = counts.get(g, 0) + 1
         return tuple(sorted(counts.items()))
 
-    def mult_matrix(self, i, d):
-        """Multiplication by variable i on the module, piece(d) -> piece(d+1)."""
-        src = self.piece_basis(d)
-        tgt_pos = {lab: k for k, lab in enumerate(self.piece_basis(d + 1))}
-        alg = self.algebra
-        blocks = {}
-        entries = {}
-        for col, (j, mono) in enumerate(src):
-            deg = sum(mono)
-            if deg not in blocks:
-                blocks[deg] = (alg.mult(i, deg).column_dicts(), alg.basis(deg + 1))
-            block, tgt_basis = blocks[deg]
-            for row, c in block[alg._basis_index[deg][mono]].items():
-                entries[(tgt_pos[(j, tgt_basis[row])], col)] = c
-        return Matrix(self.algebra.field, len(tgt_pos), len(src), entries)
-
     def __repr__(self):
         sig = " ".join(f"k^{c}({-g})" if g else f"k^{c}" for g, c in self.twist_signature())
         return f"<GradedFreeModule {sig or '0'}>"
@@ -413,7 +395,6 @@ class GradedModuleMap:
         if cached is not None:
             return cached
         alg = self.source.algebra
-        p = alg.field.characteristic
         src = self.source.piece_basis(d)
         tgt_pos = {lab: k for k, lab in enumerate(self.target.piece_basis(d))}
         by_src_gen = {}
@@ -422,8 +403,7 @@ class GradedModuleMap:
         entries = {}
         for col, (b, mono) in enumerate(src):
             for a, poly in by_src_gen.get(b, ()):
-                prod = alg.reduce(poly_mul(poly, {mono: 1}, p))
-                for m2, c in prod.items():
+                for m2, c in alg.times(poly, mono).items():
                     entries[(tgt_pos[(a, m2)], col)] = c
         m = Matrix(alg.field, len(tgt_pos), len(src), entries)
         self._expanded[d] = m
@@ -509,7 +489,16 @@ def minimal_free_resolution(algebra, length_limit):
         dim = current.dimension(d)
         if d >= 1 and dim:
             ker[d] = Subspace.full(field, dim)
+    n = algebra.num_vars
+    units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     for p in range(1, length_limit + 1):
+        # "multiply by x_i" from current(-1), whose degree-d piece is
+        # current's degree-(d - 1) piece in the same order, to current
+        shifted = GradedFreeModule(algebra, [g + 1 for g in current.gen_degrees])
+        times_x = [
+            GradedModuleMap(shifted, current, {(j, j): {u: 1} for j in range(current.rank)})
+            for u in units
+        ]
         chosen = []
         prev_kernel = {}
         for d in sorted(ker):
@@ -520,8 +509,8 @@ def minimal_free_resolution(algebra, length_limit):
             images = []
             below = prev_kernel.get(d - 1)
             if below is not None:
-                for i in range(algebra.num_vars):
-                    images += current.mult_matrix(i, d - 1).apply_all(below.basis_columns)
+                for f in times_x:
+                    images += f.expanded_matrix(d).apply_all(below.basis_columns)
             pres = quotient(k_d, Subspace.spanned_by_columns(field, k_d.ambient_dim, images))
             for rep in pres.rep_columns:
                 chosen.append((d, rep))

@@ -28,7 +28,7 @@ one such form of the matrix's rows, taken with the column order reversed:
 the kernel vectors come out already in canonical form, so no identity block
 is stacked and nothing is eliminated twice.  `_cut`, the vectors of a
 subspace that a map sends into another one, is the subspace's basis times
-one such kernel; it makes cycle spaces, preimages and intersections.
+one such kernel; it makes kernels, cycle spaces, preimages, intersections.
 """
 
 from fractions import Fraction
@@ -376,29 +376,35 @@ def _py_rcef(cols, p):
     return [piv[row] for row in order], order
 
 
-def _kernel_columns(rows, ncols, p):
-    """Canonical basis for the kernel of a matrix with ncols columns, and
-    the first row of each kernel vector.
+def _kernel_columns(rows, labels, units, p):
+    """Canonical basis for the kernel of a matrix whose columns carry the
+    increasing labels, and the first row of each kernel vector.
 
-    rows are the matrix's nonzero rows with column j stored at index
-    last - j.  They are eliminated once: each pivot row R_k of the reduced
-    form, with pivot s_k, says x at last - s_k is minus the sum of R_k[t] x
-    at last - t over the free t.  So each free index t gives the kernel
-    vector with 1 at last - t and -R_k[t] at last - s_k.  Every R_k[t] != 0
-    has t > s_k, so last - t is the first row of that vector, and no other
-    kernel vector meets it: the vectors, taken by decreasing t, are already
-    the reduced column echelon form.
+    rows are the matrix's nonzero rows with the column labelled j stored at
+    index last - j, for last the largest label; kernel vectors are indexed
+    by label.  The rows are eliminated once: each pivot row R_k of the
+    reduced form, with pivot s_k, says x at last - s_k is minus the sum of
+    R_k[t] x at last - t over the free t.  So each free index t gives the
+    kernel vector with 1 at last - t and -R_k[t] at last - s_k.  Every
+    R_k[t] != 0 has t > s_k, so last - t is the first row of that vector,
+    and no other kernel vector meets it: the vectors, taken by decreasing t,
+    are already the reduced column echelon form.  units[k] is the unit
+    vector at labels[k]; a kernel vector with no other entry is units[k]
+    itself, shared and never changed.
     """
-    last = ncols - 1
+    last = labels[-1]
     reduced, pivots = _py_rcef(rows, p)
-    bound = set(pivots)
-    free = [t for t in range(last, -1, -1) if t not in bound]
-    kern = {t: {last - t: 1} for t in free}
+    kern = dict(zip(labels, units))
     for s, row in zip(pivots, reduced):
+        del kern[last - s]
         for t, v in row.items():
             if t != s:
-                kern[t][last - s] = p - v if p else -v
-    return [kern[t] for t in free], [last - t for t in free]
+                vec = kern[last - t]
+                if len(vec) == 1:
+                    # the unit vector handed in: the entries go on a copy
+                    vec = kern[last - t] = dict(vec)
+                vec[last - s] = p - v if p else -v
+    return tuple(kern.values()), tuple(kern)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +434,7 @@ class Subspace:
     @classmethod
     def coordinate(cls, field, ambient_dim, rows):
         """Span of the unit vectors at rows, given increasing: its own canonical basis."""
-        return cls(field, ambient_dim, tuple({i: 1} for i in rows), tuple(rows))
+        return cls(field, ambient_dim, [{i: 1} for i in rows], tuple(rows))
 
     @classmethod
     def spanned_by_columns(cls, field, ambient_dim, columns):
@@ -546,13 +552,7 @@ def image(m):
 
 
 def kernel(m):
-    rows = [{} for _ in range(m.rows)]
-    last = m.cols - 1
-    for (i, j), v in m.entries.items():
-        rows[i][last - j] = v
-    p = m.field.characteristic
-    cols, pivots = _kernel_columns([r for r in rows if r], m.cols, p)
-    return Subspace(m.field, m.cols, cols, pivots)
+    return _cut(Subspace.full(m.field, m.cols), m, Subspace.zero(m.field, m.rows))
 
 
 def subspace_sum(a, b):
@@ -571,42 +571,50 @@ def _cut(sub, m, w):
 
     The residual modulo w's reduced basis is a linear map R_w, so with B the
     basis of sub the answer is B K, for K the canonical kernel of R_w m B:
-    one elimination.  B is reduced, so column k of B K holds K at B's pivot
-    rows: its first nonzero is a 1 at the pivot row of B's column s_k, for
-    s_k the pivot of K's column k, and it is 0 at the pivot rows of the
-    other s_l.  So B K is canonical as it stands.  R_w m B is built on its
-    rows, as _kernel_columns takes them.  The image of a basis column with
-    no row but its pivot r is m's column r, read off m's entries.  R_w
-    subtracts row q times entry i of w's basis column at pivot q from each
-    row i, and drops w's pivot rows.  When R_w m B = 0 the answer is sub.
+    one elimination.  K's rows are labelled by the pivot rows of B's
+    columns.  B is reduced, so column k of B K holds K at those rows: its
+    first nonzero is a 1 at K's first row, and it is 0 at the first rows of
+    K's other columns.  So B K is canonical as it stands, with K's pivots,
+    and it is K itself when every column of B is a unit vector, as for the
+    full space and every coordinate layer.  R_w m B is built on its rows,
+    as _kernel_columns takes them.  The image of a basis column with no row
+    but its pivot r is m's column r, read off m's entries.  R_w subtracts
+    row q times entry i of w's basis column at pivot q from each row i, and
+    drops w's pivot rows.  When R_w m B = 0 the answer is sub.
     """
     if sub.is_zero or m.is_zero or w.is_full:
         return sub
     p = sub.field.characteristic
-    index, tailed = sub._index()
-    last = len(index) - 1
-    slot = {r: last - j for r, j in index.items() if r not in tailed}
+    last = sub.pivots[-1]
+    # the full space's basis is the identity: m's columns are taken as they are
+    entries, tailed = m.entries.items(), {}
+    if not sub.is_full:
+        index, tailed = sub._index()
+        entries = [(ir, v) for ir, v in entries if ir[1] in index and ir[1] not in tailed]
     rows = [{} for _ in range(m.rows)]
-    for (i, r), v in m.entries.items():
-        t = slot.get(r)
-        if t is not None:
-            rows[i][t] = v
-    for r, y in zip(tailed, m.apply_all(list(tailed.values()))):
-        t = last - index[r]
-        for i, v in y.items():
-            rows[i][t] = v
-    windex, wtailed = w._index()
-    for q, col in wtailed.items():
-        if rows[q]:
-            for i, c in col.items():
-                if i != q:
-                    _add_multiple(rows[i], -c, rows[q], p)
-    rows = [row for i, row in enumerate(rows) if row and i not in windex]
+    for (i, r), v in entries:
+        rows[i][last - r] = v
+    if tailed:
+        for r, y in zip(tailed, m.apply_all(list(tailed.values()))):
+            for i, v in y.items():
+                rows[i][last - r] = v
+    if not w.is_zero:
+        windex, wtailed = w._index()
+        for q, col in wtailed.items():
+            if rows[q]:
+                for i, c in col.items():
+                    if i != q:
+                        _add_multiple(rows[i], -c, rows[q], p)
+        for q in windex:
+            rows[q] = None
+    rows = list(filter(None, rows))
     if not rows:
         return sub
-    kern, firsts = _kernel_columns(rows, len(index), p)
-    cols = _combine(sub.basis_columns, kern, p)
-    return Subspace(sub.field, sub.ambient_dim, cols, [sub.pivots[j] for j in firsts])
+    units = [{j: 1} for j in sub.pivots] if tailed else sub.basis_columns
+    kern, firsts = _kernel_columns(rows, sub.pivots, units, p)
+    if tailed:
+        kern = _combine(dict(zip(sub.pivots, sub.basis_columns)), kern, p)
+    return Subspace(sub.field, sub.ambient_dim, kern, firsts)
 
 
 def intersect(a, b):
@@ -629,34 +637,40 @@ def preimage(m, w):
 class QuotientPresentation:
     """Subquotient v/w presented on an explicit basis of representatives.
 
-    Representatives are ambient vectors obtained by reducing the echelon
-    basis of v modulo w and re-echelonizing, so the presentation is
-    canonical for the pair (v, w).
+    The representatives are the canonical basis of the complement: the span
+    of v's echelon basis reduced modulo w.  So the presentation is canonical
+    for the pair (v, w).
     """
 
-    __slots__ = ("field", "ambient_dim", "space", "relations", "rep_columns", "rep_pivots")
+    __slots__ = ("field", "ambient_dim", "space", "relations", "complement")
 
-    def __init__(self, space, relations, rep_columns, rep_pivots):
+    def __init__(self, space, relations, complement):
         self.field = space.field
         self.ambient_dim = space.ambient_dim
         self.space = space
         self.relations = relations
-        self.rep_columns = tuple(rep_columns)
-        self.rep_pivots = tuple(rep_pivots)
+        self.complement = complement
 
     @property
     def dim(self):
-        return len(self.rep_columns)
+        return self.complement.dim
+
+    @property
+    def rep_columns(self):
+        return self.complement.basis_columns
+
+    @property
+    def rep_pivots(self):
+        return self.complement.pivots
 
     @property
     def reps(self):
-        return Matrix.from_column_dicts(self.field, self.ambient_dim, self.rep_columns)
+        return self.complement.basis_matrix()
 
     def coordinates(self, vec):
         """Class coordinates of an ambient vector lying in the numerator."""
         partial = self.relations.residual(vec)
-        helper = Subspace(self.field, self.ambient_dim, self.rep_columns, self.rep_pivots)
-        coords, residual = helper.reduce(partial)
+        coords, residual = self.complement.reduce(partial)
         if residual:
             raise NotASubspace("vector outside the presented subquotient")
         # the entries of partial are sums of products, so over QQ an integral
@@ -668,7 +682,7 @@ class QuotientPresentation:
             isinstance(other, QuotientPresentation)
             and self.space == other.space
             and self.relations == other.relations
-            and self.rep_columns == other.rep_columns
+            and self.complement == other.complement
         )
 
     def __repr__(self):
@@ -676,21 +690,17 @@ class QuotientPresentation:
 
 
 def quotient(v, w):
-    """Present v/w; raises NotASubspace unless w is contained in v."""
+    """Present v/w; raises NotASubspace unless w is contained in v, that is
+    unless the residuals of v modulo w, of dimension dim v - dim(v & w),
+    have dimension dim v - dim w."""
     _check_pair(v, w)
     if w.is_zero:
-        return QuotientPresentation(v, w, v.basis_columns, v.pivots)
-    if not v.contains(w):
-        raise NotASubspace("denominator not contained in numerator")
-    residuals = []
-    for col in v.basis_columns:
-        res = w.residual(col)
-        if res:
-            residuals.append(res)
-    comp = Subspace.spanned_by_columns(v.field, v.ambient_dim, residuals)
+        return QuotientPresentation(v, w, v)
+    residuals = [w.residual(col) for col in v.basis_columns]
+    comp = Subspace.spanned_by_columns(v.field, v.ambient_dim, [r for r in residuals if r])
     if comp.dim != v.dim - w.dim:
-        raise NotASubspace("inconsistent quotient dimensions")
-    return QuotientPresentation(v, w, comp.basis_columns, comp.pivots)
+        raise NotASubspace("denominator not contained in numerator")
+    return QuotientPresentation(v, w, comp)
 
 
 def induced_map(m, src, tgt):

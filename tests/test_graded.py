@@ -93,6 +93,25 @@ def test_reduction_in_quotient():
     assert r.reduce(poly_mul(sq, sq)) == {}
 
 
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), F101), ids=str)
+def test_times_matches_reduced_product(field):
+    # poly_mul then reduce is the reference for the product through the memo
+    alg = build_quotient_algebra(
+        field, 3, ["x^2 + 2*x*y - y*z", "y^2 - 3*x*z + x*y", "z^3"], names="xyz"
+    )
+    rng = random.Random(f"times:{field}")
+    p = field.characteristic
+    for _ in range(300):
+        degree = rng.randint(0, alg.top_degree)
+        poly = {}
+        for mono in alg.basis(degree):
+            c = field.scalar(field.random_element(rng))
+            if c:
+                poly[mono] = c
+        mono = rng.choice(monomials(3, rng.randint(0, 3)))
+        assert alg.times(poly, mono) == alg.reduce(poly_mul(poly, {mono: 1}, p))
+
+
 def test_infinite_dimensional_rejected():
     with pytest.raises(NotFiniteDimensional):
         build_quotient_algebra(QQ, 2, ["x^2"], top_bound=8, names=["x", "y"])

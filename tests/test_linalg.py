@@ -300,6 +300,10 @@ def test_quotient_rejects_outside_vectors():
         q.coordinates({1: QQ.element(1)})
     with pytest.raises(NotASubspace):
         quotient(w, v)
+    # w outside v with dim w <= dim v fails the dimension count alone
+    e1 = Subspace.spanned_by(Matrix.from_rows(QQ, [[0], [1], [0]]))
+    with pytest.raises(NotASubspace, match="denominator not contained in numerator"):
+        quotient(v, e1)
 
 
 def test_quotient_dims_and_linearity():

@@ -1,4 +1,6 @@
+import pathlib
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -23,6 +25,9 @@ from specseq.linalg import (
 from specseq.randomized import random_filtered_complex
 from specseq.simplicial import SimplicialComplex
 from specseq.spectral import SpectralSequence
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+from oracle import Barcode, Cell  # noqa: E402
 
 F101 = PrimeField(101)
 FIELDS = (QQ, PrimeField(2), F101, PrimeField(2147483647))
@@ -333,6 +338,31 @@ def test_generic_cycles_on_non_coordinate_layers(field):
         assert ss_moved.limit_comparison().ok
     assert non_coordinate
     assert fractions == (field is QQ)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_pages_and_limit_match_barcode_oracle(field):
+    # the barcode oracle shares no code with linalg or spectral, so it checks
+    # the cycle spaces and the limit comparison that both go through _cut
+    for seed in range(25):
+        fc, levels = random_filtered_complex(field, random.Random(f"oracle:{seed}"))
+        amb = fc.ambient
+        index, cells = {}, []
+        for n in amb.degrees():
+            for k in range(amb.dim(n)):
+                index[(n, k)] = len(cells)
+                cells.append(Cell(n, levels[n][k]))
+        boundary = [{} for _ in cells]
+        for n in amb.degrees():
+            for (i, j), v in amb.diff(n).entries.items():
+                boundary[index[(n, j)]][index[(n - 1, i)]] = v
+        bars = Barcode(cells, boundary, field.characteristic or None)
+        ss = SpectralSequence(fc)
+        assert ss.r_star == bars.r_star
+        for r in range(1, ss.r_star + 1):
+            assert ss.page(r).dims() == bars.page_dims(r), (seed, r)
+        for n, p, einf, gr, ok in ss.limit_comparison().rows:
+            assert gr == bars.graded_homology(n, p), (seed, n, p)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

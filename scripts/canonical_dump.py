@@ -1,4 +1,4 @@
-"""Print seven sha256 lines over fixed sets of exact results, to compare two versions.
+"""Print eight sha256 lines over fixed sets of exact results, to compare two versions.
 
 Usage: python3 scripts/canonical_dump.py    (imports tests/test_spectral.py,
 so pytest must be importable)
@@ -53,8 +53,20 @@ koszul_complex(A))), and every page entry, page map and limit row of both
 `factor_filtration`s of it, for A square-zero in 2 and in 3 variables and
 the complete intersection of the squares of 3 variables.
 
+The eighth hash covers the pages below r = 1, where every cycle space is a
+layer:
+  - E^0 at every position from p_min - 2 to p_max + 2, and Z^r there for
+    r = -2, -1 and 0, of the seeded random filtrations of the first two
+    hashes, 10 seeds each over the four fields, as generated and moved by
+    `change_of_basis`;
+  - the stdout and exit code of every bundled scenario with `page 0` and
+    `differential 1 0 0` added to its queries, with and without --machine.
+
 Two versions that print the same hash computed the same bytes for all of
 it, so a change meant to leave the answers alone can be checked in one run.
+scripts/canonical.sha256 holds the eight lines this version prints:
+
+    python3 scripts/canonical_dump.py | diff scripts/canonical.sha256 -
 """
 
 import hashlib
@@ -174,6 +186,33 @@ def descending_lines(token, seed):
                 yield from entry_lines(r, pos, ss.entry(r, *pos))
                 yield f"map {r} {pos}"
                 yield render_matrix_machine(ss.differential(r, *pos))
+
+
+def low_page_lines(token, seed):
+    field = parse_field_token(token)
+    rng = random.Random(seed)
+    fc, levels = random_filtered_complex(field, rng)
+    yield f"low {token} {seed} levels {sorted(levels.items())}"
+    for version in (fc, change_of_basis(fc, rng)):
+        ss = SpectralSequence(version)
+        for p in range(version.p_min - 2, version.p_max + 3):
+            for n in version.ambient.degrees():
+                yield from entry_lines(0, (p, n - p), ss.entry(0, p, n - p))
+                for r in (-2, -1, 0):
+                    yield f"cycles {r} {(p, n - p)}"
+                    yield from render_subspace(ss.cycles(r, p, n - p))
+
+
+def low_scenario_lines():
+    for scn in sorted(SCENARIO_DIR.glob("*.scn")):
+        text = scn.read_text().replace(
+            "end-queries", "page 0\ndifferential 1 0 0\nend-queries"
+        )
+        for machine in (False, True):
+            buf = io.StringIO()
+            code = cli.run(text, machine=machine, out=buf)
+            yield f"low scenario {scn.name} {machine} exit {code}"
+            yield buf.getvalue()
 
 
 def skeleton_lines(token, seed, reduced):
@@ -348,6 +387,14 @@ def main():
             for line in graded_lines(token, nvars, relations, length):
                 graded.update(line.encode() + b"\n")
     print(graded.hexdigest())
+    low = hashlib.sha256()
+    for token in FIELDS:
+        for seed in range(10):
+            for line in low_page_lines(token, seed):
+                low.update(line.encode() + b"\n")
+    for line in low_scenario_lines():
+        low.update(line.encode() + b"\n")
+    print(low.hexdigest())
     return 0
 
 

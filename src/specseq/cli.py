@@ -36,6 +36,7 @@ from .graded import (
     expand,
     factor_filtration,
     image_degree_breakdown,
+    internal_degrees,
     koszul_complex,
     minimal_free_resolution,
     parse_poly,
@@ -235,7 +236,7 @@ def build_filtration(scenario, field):
 def _degree_table(fc, n):
     labels = fc.ambient.term_labels(n)
     if labels and all(hasattr(lab, "degree") for lab in labels):
-        return tuple(lab.degree for lab in labels)
+        return internal_degrees(fc.ambient, n)
     return None
 
 

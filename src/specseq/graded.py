@@ -17,7 +17,7 @@ The one product is `GradedAlgebra.times`: module maps expand through it,
 and the resolution gets m K from the module maps "multiply by x_i".
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import combinations
 
 from .complexes import ChainComplex
@@ -655,33 +655,29 @@ def internal_degrees(expanded, n):
     return tuple(lab.degree for lab in expanded.term_labels(n))
 
 
-def class_degrees(pres, degrees):
-    """Internal degree of each quotient class; classes must be homogeneous."""
+def _column_degrees(columns, degrees, what):
+    """The one internal degree of each column; each must be homogeneous."""
     out = []
-    for col in pres.rep_columns:
+    for col in columns:
         degs = {degrees[i] for i in col}
         if len(degs) != 1:
-            raise ValueError("inhomogeneous quotient class")
+            raise ValueError(f"inhomogeneous {what}")
         out.append(degs.pop())
     return out
 
 
+def class_degrees(pres, degrees):
+    """Internal degree of each quotient class; classes must be homogeneous."""
+    return _column_degrees(pres.rep_columns, degrees, "quotient class")
+
+
 def degree_breakdown(pres, degrees):
     """Dimension of a page entry split by internal degree."""
-    counts = {}
-    for d in class_degrees(pres, degrees):
-        counts[d] = counts.get(d, 0) + 1
-    return dict(sorted(counts.items()))
+    return dict(sorted(Counter(class_degrees(pres, degrees)).items()))
 
 
 def image_degree_breakdown(matrix, target_class_degrees):
     """Total dimension of a page map's image with its degree decomposition."""
     img = image(matrix)
-    counts = {}
-    for col in img.basis_columns:
-        degs = {target_class_degrees[i] for i in col}
-        if len(degs) != 1:
-            raise ValueError("inhomogeneous image vector")
-        d = degs.pop()
-        counts[d] = counts.get(d, 0) + 1
-    return img.dim, dict(sorted(counts.items()))
+    degrees = _column_degrees(img.basis_columns, target_class_degrees, "image vector")
+    return img.dim, dict(sorted(Counter(degrees).items()))

@@ -2,35 +2,42 @@
 
 Everything is lazy: constructing a SpectralSequence performs no linear
 algebra, and all cycle subspaces, page entries, and page maps are memoized
-on first use.  The cycle spaces
+on first use.  Every query keys through one key of E^r(p, q), n = p + q:
 
-    Z^r(p, q) = layer(p, n) cap d^{-1}(layer(p - r, n - 1)),   n = p + q,
+    (hi, lo, below, above, n) = the indices p, p - r, p - 1, p + r - 1,
+                                each clamped into [p_min - 1, p_max].
 
-only depend on the pair of filtration indices clamped into
-[p_min - 1, p_max], so each is keyed by its cycle key (cap_hi, cap_lo, n).
-When cap_lo = cap_hi (r <= 0, or both indices past one end of the window)
-Z^r is the layer itself and is read off the filtration.  Every other Z^r
-is linalg._cut of layer(p, n) by d into layer(p - r, n - 1): one
+Clamping loses nothing, as layers below the window are zero and layers above
+it full.  The cycle space
+
+    Z^r(p, q) = layer(p, n) cap d^{-1}(layer(p - r, n - 1))
+
+is the space (hi, lo, n).  Where lo >= hi (r <= 0, or both indices past one
+end of the window) it is the layer itself, read off the filtration.  Every
+other Z^r is linalg._cut of layer(hi, n) by d into layer(lo, n - 1): one
 elimination, on coordinate layers and others alike.  Page entries are the
 standard subquotients
 
     E^r(p, q) = Z^r(p, q) / (Z^{r-1}(p-1, q+1) + d Z^{r-1}(p+r-1, q-r+2)),
 
-and page maps are induced by the ambient differential on representatives.
-An entry is memoized on the cycle keys of its three cycle spaces, so each
-distinct one is computed once.  Its denominator is one elimination of the
-basis of Z^{r-1}(p-1, q+1) with the nonzero d-images of that of
-Z^{r-1}(p+r-1, q-r+2), or the former itself when there are none.
-Stabilization at each position falls out of the keys, not out of r_star:
-E^r(p, q) is one value for all r >= max(p - p_min + 1, p_max - p + 1).
+whose numerator is the space (hi, lo, n), the first part of whose
+denominator is (below, lo, n), and whose arriving part is (above, hi, n + 1).
+An entry is memoized on its key, so each distinct one is computed once.  Its
+denominator is one elimination of the basis of the first part with the
+nonzero d-images of that of the arriving part, or the first part itself when
+there are none.  Stabilization at each position falls out of the key, not
+out of r_star: E^r(p, q) is one value for all
+r >= max(p - p_min + 1, p_max - p + 1).
 
-A page map out of p <= p_max is memoized on its source entry key alone.  Two
-such queries share that key only where their clamped p and clamped p - r
-agree: both columns below the window, or one column with p - r < p_min at
-both.  Either way the target is zero and the map is the same 0 x dim matrix.
-Above p_max the source is zero at every r but the targets E^r(p - r, .)
-differ, so such a map is the dim x 0 zero matrix of its target, with no memo
-and no induced map.
+A page map out of p <= p_max is memoized on the key of its source entry
+alone.  Two such queries share that key only where their clamped p and
+clamped p - r agree: both columns below the window, or one column with
+p - r < p_min at both.  Either way the target is zero and the map is the
+same 0 x dim matrix.  Above p_max the source is zero at every r but the
+targets E^r(p - r, .) differ, so such a map is the dim x 0 zero matrix of
+its target, with no memo and no induced map.  A Page or PageMap holds the
+filtration window and raises KeyError outside it; SpectralSequence.entry
+answers every position.
 
 `limit_comparison` keeps to kernel, image, intersect and subspace_sum.  It
 shares no code with the one-pass denominator, but intersect is the _cut
@@ -65,13 +72,7 @@ class Page:
         self.stable = stable
 
     def entry(self, p, q):
-        pres = self.entries.get((p, q))
-        if pres is None:
-            field = self.source.ambient.field
-            dim = self.source.ambient.dim(p + q)
-            z = Subspace.zero(field, dim)
-            return quotient(z, z)
-        return pres
+        return self.entries[(p, q)]
 
     def dims(self):
         return {
@@ -134,73 +135,65 @@ class SpectralSequence:
         """Index from which every differential leaves the filtration window."""
         return self.source.p_max - self.source.p_min + 2
 
-    def _memo(self, table, key, compute):
+    def _memo(self, table, key, compute, *args):
         value = table.get(key)
         if value is None:
-            value = table.setdefault(key, compute())
+            value = table.setdefault(key, compute(*args))
         return value
+
+    def _key(self, r, p, n):
+        """Key (hi, lo, below, above, n) of E^r(p, n - p): the indices p, p - r,
+        p - 1 and p + r - 1, each clamped into [p_min - 1, p_max]."""
+        floor, top = self.source.p_min - 1, self.source.p_max
+        indices = (p, p - r, p - 1, p + r - 1)
+        return (*(floor if i < floor else top if i > top else i for i in indices), n)
 
     # -- cycle subspaces ----------------------------------------------------
 
-    def _cycle_key(self, r, p, n):
-        """Key (cap_hi, cap_lo, n) of Z^r(p, n - p).
-
-        Both filtration indices are clamped into [p_min - 1, p_max], and
-        cap_lo is at most cap_hi, so r <= 0 gives cap_lo = cap_hi.
-        """
-        fc = self.source
-        floor = fc.p_min - 1
-        cap_hi = max(min(p, fc.p_max), floor)
-        return cap_hi, max(min(p - r, cap_hi), floor), n
-
-    def _cycles_at(self, key):
-        cap_hi, cap_lo, n = key
-        if cap_lo == cap_hi:
+    def _cycles_at(self, hi, lo, n):
+        if lo >= hi:
             # d maps each layer into itself, so Z is the whole layer
-            return self.source.layer(cap_hi, n)
-        return self._memo(self._cycles, key, lambda: self._compute_cycles(*key))
+            return self.source.layer(hi, n)
+        return self._memo(self._cycles, (hi, lo, n), self._compute_cycles, hi, lo, n)
 
     def cycles(self, r, p, q):
-        return self._cycles_at(self._cycle_key(r, p, p + q))
+        hi, lo, _, _, n = self._key(r, p, p + q)
+        return self._cycles_at(hi, lo, n)
 
-    def _compute_cycles(self, cap_hi, cap_lo, n):
+    def _compute_cycles(self, hi, lo, n):
         fc = self.source
-        return _cut(fc.layer(cap_hi, n), fc.ambient.diff(n), fc.layer(cap_lo, n - 1))
+        return _cut(fc.layer(hi, n), fc.ambient.diff(n), fc.layer(lo, n - 1))
 
     # -- pages ---------------------------------------------------------------
 
-    def _entry_key(self, r, p, n):
-        """Cycle keys of the numerator and of the two parts of the denominator."""
-        key = self._cycle_key
-        return key(r, p, n), key(r - 1, p - 1, n), key(r - 1, p + r - 1, n + 1)
-
     def _entry_at(self, key):
-        return self._memo(self._entries, key, lambda: self._compute_entry(key))
+        return self._memo(self._entries, key, self._compute_entry, key)
 
     def entry(self, r, p, q):
         if r < 0:
             raise ValueError("page index must be nonnegative")
-        return self._entry_at(self._entry_key(r, p, p + q))
+        return self._entry_at(self._key(r, p, p + q))
 
     def _compute_entry(self, key):
-        top, below, arriving = key
-        below = self._cycles_at(below)
-        lifts = self._cycles_at(arriving).basis_columns
-        pushed = [y for y in self.source.ambient.diff(arriving[2]).apply_all(lifts) if y]
+        hi, lo, below, above, n = key
+        den = self._cycles_at(below, lo, n)
+        lifts = self._cycles_at(above, hi, n + 1).basis_columns
+        pushed = [y for y in self.source.ambient.diff(n + 1).apply_all(lifts) if y]
         if pushed:
             # one elimination of Z^{r-1}(p-1) and d Z^{r-1}(p+r-1) together
-            below = Subspace.spanned_by_columns(
-                below.field, below.ambient_dim, below.basis_columns + tuple(pushed)
+            den = Subspace.spanned_by_columns(
+                den.field, den.ambient_dim, den.basis_columns + tuple(pushed)
             )
-        return quotient(self._cycles_at(top), below)
+        return quotient(self._cycles_at(hi, lo, n), den)
+
+    def _window(self, query, r):
+        """query(r, p, q) at every position of the filtration window."""
+        fc = self.source
+        degrees = fc.ambient.degrees()
+        return {(p, n - p): query(r, p, n - p) for p in fc.p_range for n in degrees}
 
     def page(self, r):
-        fc = self.source
-        entries = {}
-        for p in fc.p_range:
-            for n in fc.ambient.degrees():
-                entries[(p, n - p)] = self.entry(r, p, n - p)
-        return Page(r, fc, entries, stable=r >= self.r_star)
+        return Page(r, self.source, self._window(self.entry, r), stable=r >= self.r_star)
 
     def infinity_page(self):
         return self.page(self.r_star)
@@ -212,28 +205,23 @@ class SpectralSequence:
         if r < 1:
             raise ValueError("page differentials start at r = 1")
         n = p + q
-        target = self._entry_key(r, p - r, n - 1)
+        target = self._key(r, p - r, n - 1)
         if p > self.source.p_max:
             # the source is zero; see the module docstring
             rows = self._entry_at(target).dim
             return Matrix.zeros(self.source.ambient.field, rows, 0)
-        key = self._entry_key(r, p, n)
-        return self._memo(self._diffs, key, lambda: self._compute_diff(key, target))
+        key = self._key(r, p, n)
+        return self._memo(self._diffs, key, self._compute_diff, key, target)
 
     def _compute_diff(self, src_key, tgt_key):
         return induced_map(
-            self.source.ambient.diff(src_key[0][2]),
+            self.source.ambient.diff(src_key[4]),
             self._entry_at(src_key),
             self._entry_at(tgt_key),
         )
 
     def page_map(self, r):
-        fc = self.source
-        matrices = {}
-        for p in fc.p_range:
-            for n in fc.ambient.degrees():
-                matrices[(p, n - p)] = self.differential(r, p, n - p)
-        return PageMap(r, fc, matrices)
+        return PageMap(r, self.source, self._window(self.differential, r))
 
     # -- convergence ---------------------------------------------------------
 

@@ -20,6 +20,7 @@ from specseq.linalg import (
     intersect,
     kernel,
     preimage,
+    quotient,
     rank,
 )
 from specseq.randomized import random_filtered_complex
@@ -101,11 +102,16 @@ def test_page_map_matches_pointwise_differentials():
     fc, _ = random_filtered_complex(F101, random.Random(55))
     ss = SpectralSequence(fc)
     pm = ss.page_map(1)
+    page = ss.page(1)
     for p in fc.p_range:
         for n in fc.ambient.degrees():
             assert pm.matrix(p, n - p) == ss.differential(1, p, n - p)
+            assert page.entry(p, n - p) is ss.entry(1, p, n - p)
+    # a page and a page map both hold the filtration window and no more
     with pytest.raises(KeyError):
         pm.matrix(fc.p_max + 1, 0)
+    with pytest.raises(KeyError):
+        page.entry(fc.p_max + 1, 0)
 
 
 def test_differential_squares_to_zero():
@@ -418,12 +424,12 @@ def test_one_elimination_per_cycle_space_preimage_and_intersect(field, monkeypat
         for r in range(1, ss.r_star + 1):
             for p in moved.p_range:
                 for n in amb.degrees():
-                    key = ss._cycle_key(r, p, n)
-                    if key[0] == key[1]:
+                    hi, lo, _, _, _ = ss._key(r, p, n)
+                    if lo >= hi:
                         continue
-                    top, d = moved.layer(key[0], n), amb.diff(n)
-                    target = moved.layer(key[1], n - 1)
-                    count = eliminations(lambda: ss._compute_cycles(*key))
+                    top, d = moved.layer(hi, n), amb.diff(n)
+                    target = moved.layer(lo, n - 1)
+                    count = eliminations(lambda: ss._compute_cycles(hi, lo, n))
                     assert count == int(not maps_into(d, top, target))
                     seen["cycles"].add(count)
                     count = eliminations(lambda: preimage(d, target))
@@ -444,7 +450,10 @@ def test_memo_keys_are_sound(field, monkeypatch):
     # SpectralSequence and the map induced between the entries, and an entry
     # is one object for all r >= max(p - p_min + 1, p_max - p + 1).  Columns
     # up to p_max + r_star + 1 are queried: above p_max a source key repeats
-    # over targets of different dimension.
+    # over targets of different dimension.  Entries are queried down to
+    # r = 0, where no differential cuts a layer: Z^r(p, q) is layer(p) for
+    # r <= 0 and E^0(p, q) is layer(p) / layer(p - 1), on both sides of the
+    # window too.
     calls = []
     real_entry = SpectralSequence._compute_entry
     real_diff = SpectralSequence._compute_diff
@@ -466,20 +475,25 @@ def test_memo_keys_are_sound(field, monkeypatch):
             r_star = ss.r_star
             positions = [
                 (p, n - p)
-                for p in range(fc.p_min - 1, fc.p_max + r_star + 2)
+                for p in range(fc.p_min - 2, fc.p_max + r_star + 2)
                 for n in fc.ambient.degrees()
             ]
             sources = set()
-            for r in range(r_star + 1, 0, -1):
+            for r in range(r_star + 1, -1, -1):
                 for p, q in positions:
                     assert ss.entry(r, p, q) == SpectralSequence(fc).entry(r, p, q)
+                    if r == 0:
+                        lay = fc.layer(p, p + q)
+                        assert ss.entry(0, p, q) == quotient(lay, fc.layer(p - 1, p + q))
+                        assert ss.cycles(-1, p, q) == ss.cycles(0, p, q) == lay
+                        continue
                     got = ss.differential(r, p, q)
                     assert got == SpectralSequence(fc).differential(r, p, q)
                     d = fc.ambient.diff(p + q)
                     target = ss.entry(r, p - r, q + r - 1)
                     assert got == induced_map(d, ss.entry(r, p, q), target)
                     if p <= fc.p_max:
-                        sources.add(ss._entry_key(r, p, p + q))
+                        sources.add(ss._key(r, p, p + q))
             for p, q in positions:
                 low = max(p - fc.p_min + 1, fc.p_max - p + 1)
                 for r in range(low + 1, r_star + 2):

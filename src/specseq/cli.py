@@ -43,7 +43,7 @@ from .graded import (
     relation_degree,
     tensor_complex,
 )
-from .linalg import image, render_matrix_machine
+from .linalg import rank, render_matrix_machine
 from .simplicial import parse_simplicial
 from .spectral import SpectralSequence
 from .text import Lines
@@ -249,8 +249,7 @@ def _page_entries(ss, r, threads):
     return {pq: pres for pq, pres in ss.page(r).entries.items() if pres.dim}
 
 
-def _cell_text(ss, pres, p, q):
-    table = _degree_table(ss.source, p + q)
+def _cell_text(pres, table):
     if table is None:
         return str(pres.dim)
     parts = ",".join(
@@ -259,14 +258,14 @@ def _cell_text(ss, pres, p, q):
     return f"{pres.dim}({parts})"
 
 
-def render_page_grid(ss, r, entries, header):
+def render_page_grid(entries, tables, header):
     lines = [header]
     if not entries:
         lines.append("(empty)")
         return lines
     qs = sorted({q for (_, q) in entries}, reverse=True)
     ps = sorted({p for (p, _) in entries})
-    cells = {pq: _cell_text(ss, pres, *pq) for pq, pres in entries.items()}
+    cells = {(p, q): _cell_text(pres, tables[p + q]) for (p, q), pres in entries.items()}
     widths = {
         p: max(len(f"p={p}"), max(len(cells.get((p, q), ".")) for q in qs))
         for p in ps
@@ -282,11 +281,10 @@ def render_page_grid(ss, r, entries, header):
     return lines
 
 
-def render_page_machine(ss, r, entries):
+def render_page_machine(r, entries, tables):
     lines = []
-    for (p, q) in sorted(entries):
-        pres = entries[(p, q)]
-        table = _degree_table(ss.source, p + q)
+    for (p, q), pres in sorted(entries.items()):
+        table = tables[p + q]
         line = f"{r} {p} {q} {pres.dim}"
         if table is not None:
             br = degree_breakdown(pres, table)
@@ -319,15 +317,16 @@ def _run_query(ss, query, machine, threads, out):
     if query.kind == "page" or query.kind == "infinity":
         r = ss.r_star if query.kind == "infinity" else query.r
         entries = _page_entries(ss, r, threads)
+        tables = {n: _degree_table(ss.source, n) for n in {p + q for p, q in entries}}
         if machine:
-            lines = render_page_machine(ss, r, entries)
+            lines = render_page_machine(r, entries, tables)
         else:
             header = (
                 f"infinity (r={ss.r_star})"
                 if query.kind == "infinity"
                 else f"page {r}"
             )
-            lines = render_page_grid(ss, r, entries, header)
+            lines = render_page_grid(entries, tables, header)
         for line in lines:
             print(line, file=out)
         return 0
@@ -346,7 +345,7 @@ def _run_query(ss, query, machine, threads, out):
         m = ss.differential(query.r, query.p, query.q)
         table = _degree_table(ss.source, query.p + query.q - 1)
         if table is None:
-            dim, br = image(m).dim, {}
+            dim, br = rank(m), {}
         else:
             target = ss.entry(query.r, query.p - query.r, query.q + query.r - 1)
             dim, br = image_degree_breakdown(m, class_degrees(target, table))

@@ -288,7 +288,7 @@ def _scaled_step(col, f, pc, a):
                 col[k] = v // g
 
 
-def _reduce_columns(cols, p):
+def _reduce_columns(cols, p, piv=None):
     """Column echelon form, not yet reduced, of sparse columns of raw scalars.
 
     p > 0 means F_p with int residues: each pivot column is scaled so its
@@ -300,9 +300,9 @@ def _reduce_columns(cols, p):
     increasing row order against the table of pivots found so far, visiting
     only rows it holds or gains; its first row left with no pivot becomes a
     new pivot.  The column dicts are changed in place.  Returns the table
-    {pivot row: pivot column}.
+    {pivot row: pivot column}: piv if given, continued with cols.
     """
-    piv = {}
+    piv = {} if piv is None else piv
     for col in cols:
         if not p:
             for v in col.values():
@@ -345,6 +345,13 @@ def _reduce_columns(cols, p):
             else:
                 _scaled_step(col, f, pc, pc[row])
     return piv
+
+
+def _prefix_ranks(stages, p):
+    """Ranks of the first k stages of columns together, k = 1, 2, ...: one
+    pivot table, continued; each stage goes in sparsest first, to limit fill."""
+    piv = {}
+    return [len(_reduce_columns(sorted(cols, key=len), p, piv)) for cols in stages]
 
 
 def _py_rcef(cols, p):

@@ -39,25 +39,21 @@ its target, with no memo and no induced map.  A Page or PageMap holds the
 filtration window and raises KeyError outside it; SpectralSequence.entry
 answers every position.
 
-`limit_comparison` keeps to kernel, image, intersect and subspace_sum.  It
-shares no code with the one-pass denominator, but intersect is the _cut
-that makes the cycle spaces, so tests/test_spectral.py checks _cut against
-a stacked-kernel reference.  The memo tables take no lock; dict.setdefault,
-atomic under the GIL, keeps the first value stored.
+`limit_comparison` reads gr_p H_n off ranks.  Write F_p = layer(p, n) and
+B = im d_{n+1}, inside ker d_n: d_n maps F_p + B onto d_n F_p with kernel
+(ker d_n cap F_p) + B, so dim((ker d_n cap F_p) + B) = dim(F_p + B) -
+rank(d_n on F_p), whose step from p - 1 to p is gr_p H_n.  Per degree, one
+pivot table is fed the columns of d_{n+1} and then each layer's fresh basis
+columns (pivot row no pivot of the layer below; those of the layers up to p
+span F_p, as pivot rows grow with the layers), another their d_n-images, and
+each rank is read after each layer.  So the comparison shares only
+_reduce_columns, Matrix.apply_all and the layer bases with the pages: no
+_cut, kernel or back-substitution.  The memo tables take no lock;
+dict.setdefault, atomic under the GIL, keeps the first value stored.
 """
 
 from .errors import ComparisonFailure
-from .linalg import (
-    Matrix,
-    Subspace,
-    _cut,
-    image,
-    induced_map,
-    intersect,
-    kernel,
-    quotient,
-    subspace_sum,
-)
+from .linalg import Matrix, Subspace, _cut, _prefix_ranks, induced_map, quotient
 
 
 class Page:
@@ -228,24 +224,28 @@ class SpectralSequence:
     def limit_comparison(self, strict=True):
         """Check dim E^inf(p, n - p) against graded homology of the ambient.
 
-        gr_p H_n is computed independently as
-        dim(ker cap layer(p) + im) - dim(ker cap layer(p-1) + im).
+        gr_p H_n comes from two staged rank counts (see the module docstring).
         """
         fc = self.source
         amb = fc.ambient
+        char = amb.field.characteristic
         inf = self.infinity_page()
         rows = []
         for n in amb.degrees():
-            ker = kernel(amb.diff(n))
-            bnd = image(amb.diff(n + 1))
-            accumulated = {}
+            fresh, below = [], ()
             for p in range(fc.p_min - 1, fc.p_max + 1):
                 lay = fc.layer(p, n)
-                cut = ker if lay.is_full else intersect(ker, lay)
-                accumulated[p] = subspace_sum(cut, bnd).dim
-            for p in fc.p_range:
-                gr = accumulated[p] - accumulated[p - 1]
-                einf = inf.entry(p, n - p).dim
+                # copies: the engine edits them in place, after apply_all reads them
+                fresh.append(
+                    [dict(c) for c, i in zip(lay.basis_columns, lay.pivots) if i not in below]
+                )
+                below = set(lay.pivots)
+            images = [amb.diff(n).apply_all(cols) for cols in fresh]
+            spans = _prefix_ranks([amb.diff(n + 1).column_dicts(), *fresh], char)
+            # dim(ker d_n cap F_p + B) for p from p_min - 1 to p_max
+            cut = [s - r for s, r in zip(spans[1:], _prefix_ranks(images, char))]
+            for p, lower, upper in zip(fc.p_range, cut, cut[1:]):
+                einf, gr = inf.entry(p, n - p).dim, upper - lower
                 rows.append((n, p, einf, gr, einf == gr))
         report = LimitReport(rows)
         if strict and not report.ok:

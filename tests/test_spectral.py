@@ -6,11 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from specseq import linalg
-from specseq.complexes import ChainComplex, homology_rank
+from specseq import linalg, spectral
+from specseq.complexes import ChainComplex, ChainMap, homology_rank, shift
 from specseq.errors import ComparisonFailure
 from specseq.fields import QQ, PrimeField
-from specseq.filtration import FilteredComplex, from_simplicial
+from specseq.filtration import (
+    FilteredComplex,
+    from_chain_maps,
+    from_simplicial,
+    hom_filtration,
+    tensor_filtration,
+)
 from specseq.linalg import (
     Matrix,
     Subspace,
@@ -22,8 +28,9 @@ from specseq.linalg import (
     preimage,
     quotient,
     rank,
+    subspace_sum,
 )
-from specseq.randomized import random_filtered_complex
+from specseq.randomized import random_chain_complex, random_filtered_complex
 from specseq.simplicial import SimplicialComplex
 from specseq.spectral import SpectralSequence
 
@@ -369,6 +376,113 @@ def test_pages_and_limit_match_barcode_oracle(field):
             assert ss.page(r).dims() == bars.page_dims(r), (seed, r)
         for n, p, einf, gr, ok in ss.limit_comparison().rows:
             assert gr == bars.graded_homology(n, p), (seed, n, p)
+
+
+def reference_graded_homology(fc):
+    """Rows (n, p, gr_p H_n) with gr_p H_n = dim(ker cap layer(p) + im) -
+    dim(ker cap layer(p - 1) + im), from kernel, intersect and subspace_sum."""
+    amb = fc.ambient
+    rows = []
+    for n in amb.degrees():
+        ker, bnd = kernel(amb.diff(n)), image(amb.diff(n + 1))
+        dims = {
+            p: subspace_sum(intersect(ker, fc.layer(p, n)), bnd).dim
+            for p in range(fc.p_min - 1, fc.p_max + 1)
+        }
+        rows += [(n, p, dims[p] - dims[p - 1]) for p in fc.p_range]
+    return rows
+
+
+def moved_layer_maps(fc, rng):
+    """Chain maps into fc's ambient C whose images are k(layer(p)), for the
+    chain map k = 1 + d h + h d of C with a random h of degree +1: each is k
+    after the inclusion of the layer, taken on the layer's own basis."""
+    amb, field = fc.ambient, fc.ambient.field
+
+    def random_matrix(rows, cols):
+        return Matrix(
+            field, rows, cols,
+            {(i, j): field.random_element(rng) for i in range(rows) for j in range(cols)},
+        )
+
+    h = {n: random_matrix(amb.dim(n + 1), amb.dim(n)) for n in range(amb.lo - 1, amb.hi + 1)}
+    k = {
+        n: Matrix.identity(field, amb.dim(n)) + amb.diff(n + 1) @ h[n] + h[n - 1] @ amb.diff(n)
+        for n in amb.degrees()
+    }
+    maps = []
+    for p in fc.p_range:
+        lay = {n: fc.layer(p, n) for n in amb.degrees()}
+        diffs = {
+            n: Matrix.from_column_dicts(
+                field,
+                lay[n - 1].dim,
+                [
+                    dict(enumerate(lay[n - 1].reduce(y)[0]))
+                    for y in amb.diff(n).apply_all(lay[n].basis_columns)
+                ],
+            )
+            for n in amb.degrees()
+            if n - 1 in lay
+        }
+        labels = {n: range(sub.dim) for n, sub in lay.items()}
+        source = ChainComplex(field, labels, diffs)
+        inclusion = {n: k[n] @ sub.basis_matrix() for n, sub in lay.items()}
+        maps.append(ChainMap(source, amb, inclusion))
+    return maps
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_limit_comparison_matches_reference_on_non_coordinate_layers(field):
+    # product filtrations of a moved filtration, and the images of chain maps
+    # that move a filtration's layers, have layers that are not coordinate
+    non_coordinate = [0] * 4
+    for seed in range(8):
+        rng = random.Random(f"limit:{seed}")
+        plain = random_chain_complex(field, rng, top_degree=2, max_dim=3)
+        plain = shift(plain, rng.randint(-3, 1))
+        fd, _ = random_filtered_complex(field, rng, top_degree=2, max_dim=3, max_width=3)
+        moved = change_of_basis(fd, rng)
+        wide, _ = random_filtered_complex(field, rng)
+        builds = (
+            tensor_filtration(plain, moved),
+            tensor_filtration(moved, plain),
+            hom_filtration(plain, moved),
+            from_chain_maps(moved_layer_maps(change_of_basis(wide, rng), rng)),
+        )
+        for k, fc in enumerate(builds):
+            non_coordinate[k] += sum(
+                any(len(c) > 1 for c in fc.layer(p, n).basis_columns)
+                for p in fc.p_range
+                for n in fc.ambient.degrees()
+            )
+            report = SpectralSequence(fc).limit_comparison()
+            assert [(n, p, gr) for n, p, _, gr, _ in report.rows] == reference_graded_homology(fc)
+    assert all(non_coordinate)
+
+
+@pytest.mark.parametrize("field", FIELDS[:3], ids=str)
+def test_limit_comparison_only_counts_ranks(field, monkeypatch):
+    # with the infinity page memoized, the comparison cuts no cycle space,
+    # reads off no kernel, runs no back-substitution and presents no quotient
+    sequences = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        fc, _ = random_filtered_complex(field, rng)
+        for case in (fc, change_of_basis(fc, rng)):
+            ss = SpectralSequence(case)
+            ss.infinity_page()
+            sequences.append(ss)
+
+    def forbidden(*args):
+        raise AssertionError("limit_comparison called a subspace routine")
+
+    for module in (linalg, spectral):
+        for name in ("_cut", "_kernel_columns", "_py_rcef", "quotient"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for ss in sequences:
+        assert ss.limit_comparison().rows
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

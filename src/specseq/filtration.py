@@ -2,9 +2,12 @@
 
 A filtration assigns to each index p in [p_min, p_max] and each degree n a
 subspace of the ambient term, increasing in p, exhaustive at p_max, and
-closed under the differential.  Queries outside the index window clamp to
-the zero and full subspaces, which keeps boundary arithmetic in the
-spectral sequence uniform.
+closed under the differential.  Each degree of the ambient holds one table
+of its layers p_min - 1, ..., p_max, whose first entry is the zero subspace
+(shared with every layer that was not given).  A query outside the window
+clamps into the table: below it reads the zero entry, above it the top
+layer, which validate checks is the full term.  That keeps boundary
+arithmetic in the spectral sequence uniform.
 """
 
 from .complexes import _blocks, _kron, hom_complex, parse_complex, render_complex, tensor
@@ -14,7 +17,7 @@ from .simplicial import _face_positions, reduced_chain_complex
 
 
 class FilteredComplex:
-    __slots__ = ("ambient", "p_min", "p_max", "_layers")
+    __slots__ = ("ambient", "p_min", "p_max", "_table", "_outside")
 
     def __init__(self, ambient, layers, validate=True):
         self.ambient = ambient
@@ -24,14 +27,20 @@ class FilteredComplex:
         self.p_max = max(layers)
         if set(layers) != set(range(self.p_min, self.p_max + 1)):
             raise ValueError("filtration indices must form an integer interval")
-        self._layers = {}
+        field = ambient.field
+        # a degree outside the ambient is k^0, answered by one zero space
+        self._outside = (Subspace.zero(field, 0),)
+        size = self.p_max - self.p_min + 2
+        table = {n: [Subspace.zero(field, ambient.dim(n))] * size for n in ambient.degrees()}
         for p, per_degree in layers.items():
             for n, sub in per_degree.items():
-                if sub.field != ambient.field:
+                if sub.field != field:
                     raise MixedFields(f"layer ({p}, {n}) over the wrong field")
                 if sub.ambient_dim != ambient.dim(n):
                     raise ValueError(f"layer ({p}, {n}) has the wrong ambient dimension")
-                self._layers[(p, n)] = sub
+                if n in table:
+                    table[n][p - self.p_min + 1] = sub
+        self._table = {n: tuple(column) for n, column in table.items()}
         if validate:
             self.validate()
 
@@ -40,37 +49,37 @@ class FilteredComplex:
         return range(self.p_min, self.p_max + 1)
 
     def layer(self, p, n):
-        dim_n = self.ambient.dim(n)
-        if p > self.p_max:
-            return Subspace.full(self.ambient.field, dim_n)
-        if p < self.p_min:
-            return Subspace.zero(self.ambient.field, dim_n)
-        sub = self._layers.get((p, n))
-        if sub is None:
-            return Subspace.zero(self.ambient.field, dim_n)
-        return sub
+        column = self._table.get(n, self._outside)
+        k = p - self.p_min + 1
+        return column[0 if k < 0 else k if k < len(column) else -1]
+
+    def fresh_columns(self, n):
+        """For each layer p_min - 1, ..., p_max of a degree n of the ambient,
+        its basis columns whose pivot row is no pivot of the layer below.
+        Pivot rows grow with the layers, so the fresh columns of the layers
+        up to p span layer p."""
+        fresh, below = [], ()
+        for lay in self._table[n]:
+            fresh.append([c for c, i in zip(lay.basis_columns, lay.pivots) if i not in below])
+            below = set(lay.pivots)
+        return fresh
 
     def validate(self):
-        amb = self.ambient
-        for n in amb.degrees():
-            if not self.layer(self.p_max, n).is_full:
+        for n, column in self._table.items():
+            if not column[-1].is_full:
                 raise ValueError(f"top layer is not the full term in degree {n}")
-            for p in range(self.p_min, self.p_max + 1):
-                if not self.layer(p, n).contains(self.layer(p - 1, n)):
+            for p, (low, high) in enumerate(zip(column, column[1:]), self.p_min):
+                if not high.contains(low):
                     raise NotNested(f"layer ({p - 1}, {n}) not inside layer ({p}, {n})")
-            d = amb.diff(n)
+            d = self.ambient.diff(n)
             if d.is_zero:
                 continue
-            for p in range(self.p_min, self.p_max + 1):
-                lay = self.layer(p, n)
+            # a fresh column closed at its own layer is closed at every layer
+            # above it, and the fresh columns up to p span layer p
+            for p, cols in enumerate(self.fresh_columns(n)[1:], self.p_min):
                 below = self.layer(p, n - 1)
-                if lay.is_zero or below.is_full:
-                    continue
-                for y in d.apply_all(lay.basis_columns):
-                    if not below.contains_vector(y):
-                        raise ValueError(
-                            f"layer ({p}, {n}) is not closed under the differential"
-                        )
+                if not below.is_full and not all(map(below.contains_vector, d.apply_all(cols))):
+                    raise ValueError(f"layer ({p}, {n}) is not closed under the differential")
 
     def __eq__(self, other):
         return (
@@ -78,11 +87,7 @@ class FilteredComplex:
             and self.ambient == other.ambient
             and self.p_min == other.p_min
             and self.p_max == other.p_max
-            and all(
-                self.layer(p, n) == other.layer(p, n)
-                for p in self.p_range
-                for n in self.ambient.degrees()
-            )
+            and self._table == other._table
         )
 
     def __repr__(self):
@@ -93,13 +98,10 @@ class FilteredComplex:
 
 
 def _nested_filtration(ambient, images, shift=0):
-    """Filtration by nested per-degree subspaces {n: Subspace}, as from_chain_maps."""
+    """Filtration by per-degree subspaces {n: Subspace}, as from_chain_maps;
+    validate raises NotNested unless they are totally ordered by inclusion."""
     degrees = list(ambient.degrees())
     images = sorted(images, key=lambda img: -sum(img[n].dim for n in degrees))
-    for big, small in zip(images, images[1:]):
-        for n in degrees:
-            if not big[n].contains(small[n]):
-                raise NotNested("images are not totally ordered by inclusion")
     layers = {}
     if not all(images[0][n].is_full for n in degrees):
         layers[len(images) + shift] = {
@@ -153,21 +155,9 @@ def from_simplicial(complexes, field, reduced=True):
 
 def truncation_filtration(c):
     """Brutal truncation from above: layer p keeps the terms in degrees <= p."""
-    field = c.field
     if c.is_zero:
-        return FilteredComplex(
-            c, {0: {}}, validate=False
-        )
-    layers = {}
-    for p in range(c.lo, c.hi + 1):
-        per = {}
-        for n in c.degrees():
-            if n <= p:
-                per[n] = Subspace.full(field, c.dim(n))
-            else:
-                per[n] = Subspace.zero(field, c.dim(n))
-        layers[p] = per
-    return FilteredComplex(c, layers, validate=False)
+        return FilteredComplex(c, {0: {}}, validate=False)
+    return from_basis_levels(c, {n: [n] * c.dim(n) for n in c.degrees()})
 
 
 def _product_filtration(ambient, c, d, fd, mirrored, hom=False):

@@ -359,6 +359,14 @@ class GradedFreeModule:
         return f"<GradedFreeModule {sig or '0'}>"
 
 
+def _by_source(f):
+    """The entries of a module map grouped by source generator: {b: [(a, poly)]}."""
+    groups = {}
+    for (a, b), poly in f.entries.items():
+        groups.setdefault(b, []).append((a, poly))
+    return groups
+
+
 class GradedModuleMap:
     """Module map given by homogeneous polynomial entries.
 
@@ -397,9 +405,7 @@ class GradedModuleMap:
         alg = self.source.algebra
         src = self.source.piece_basis(d)
         tgt_pos = {lab: k for k, lab in enumerate(self.target.piece_basis(d))}
-        by_src_gen = {}
-        for (a, b), poly in self.entries.items():
-            by_src_gen.setdefault(b, []).append((a, poly))
+        by_src_gen = _by_source(self)
         entries = {}
         for col, (b, mono) in enumerate(src):
             for a, poly in by_src_gen.get(b, ()):
@@ -557,6 +563,8 @@ def tensor_complex(cf, ck):
                     labels.append((i, mf.gen_labels[a], mk.gen_labels[b]))
         positions[n] = pos
         modules[n] = GradedFreeModule(algebra, tuple(degs), tuple(labels))
+    df_by_src = {i: _by_source(m) for i, m in cf.maps.items()}
+    dk_by_src = {j: _by_source(m) for j, m in ck.maps.items()}
     maps = {}
     for n in sorted(modules):
         if n - 1 not in positions:
@@ -564,22 +572,11 @@ def tensor_complex(cf, ck):
         prev = positions[n - 1]
         entries = {}
         for (i, a, b), src in positions[n].items():
-            j = n - i
-            df = cf.map(i)
-            if df is not None:
-                for (a2, aa), poly in df.entries.items():
-                    if aa != a:
-                        continue
-                    key = (prev[(i - 1, a2, b)], src)
-                    entries[key] = dict(poly)
-            dk = ck.map(j)
-            if dk is not None:
-                sign = -1 if i % 2 else 1
-                for (b2, bb), poly in dk.entries.items():
-                    if bb != b:
-                        continue
-                    key = (prev[(i, a, b2)], src)
-                    entries[key] = {m: sign * c for m, c in poly.items()}
+            for a2, poly in df_by_src.get(i, {}).get(a, ()):
+                entries[(prev[(i - 1, a2, b)], src)] = dict(poly)
+            sign = -1 if i % 2 else 1
+            for b2, poly in dk_by_src.get(n - i, {}).get(b, ()):
+                entries[(prev[(i, a, b2)], src)] = {m: sign * c for m, c in poly.items()}
         if entries:
             maps[n] = GradedModuleMap(modules[n], modules[n - 1], entries)
     return GradedComplex(algebra, modules, maps)

@@ -8,7 +8,7 @@ on first use.  Every query keys through one key of E^r(p, q), n = p + q:
                                 each clamped into [p_min - 1, p_max].
 
 Clamping loses nothing, as layers below the window are zero and layers above
-it full.  The cycle space
+it full: FilteredComplex.layer clamps by the same rule.  The cycle space
 
     Z^r(p, q) = layer(p, n) cap d^{-1}(layer(p - r, n - 1))
 
@@ -44,12 +44,12 @@ B = im d_{n+1}, inside ker d_n: d_n maps F_p + B onto d_n F_p with kernel
 (ker d_n cap F_p) + B, so dim((ker d_n cap F_p) + B) = dim(F_p + B) -
 rank(d_n on F_p), whose step from p - 1 to p is gr_p H_n.  Per degree, one
 pivot table is fed the columns of d_{n+1} and then each layer's fresh basis
-columns (pivot row no pivot of the layer below; those of the layers up to p
-span F_p, as pivot rows grow with the layers), another their d_n-images, and
-each rank is read after each layer.  So the comparison shares only
-_reduce_columns, Matrix.apply_all and the layer bases with the pages: no
-_cut, kernel or back-substitution.  The memo tables take no lock;
-dict.setdefault, atomic under the GIL, keeps the first value stored.
+columns (FilteredComplex.fresh_columns, whose columns up to layer p span
+F_p), another their d_n-images, and each rank is read after each layer.  So
+the comparison shares only _reduce_columns, Matrix.apply_all and the layer
+bases with the pages: no _cut, kernel or back-substitution.  The memo
+tables take no lock; dict.setdefault, atomic under the GIL, keeps the first
+value stored.
 """
 
 from .errors import ComparisonFailure
@@ -232,14 +232,8 @@ class SpectralSequence:
         inf = self.infinity_page()
         rows = []
         for n in amb.degrees():
-            fresh, below = [], ()
-            for p in range(fc.p_min - 1, fc.p_max + 1):
-                lay = fc.layer(p, n)
-                # copies: the engine edits them in place, after apply_all reads them
-                fresh.append(
-                    [dict(c) for c, i in zip(lay.basis_columns, lay.pivots) if i not in below]
-                )
-                below = set(lay.pivots)
+            # copies: the engine edits them in place, after apply_all reads them
+            fresh = [[dict(c) for c in cols] for cols in fc.fresh_columns(n)]
             images = [amb.diff(n).apply_all(cols) for cols in fresh]
             spans = _prefix_ranks([amb.diff(n + 1).column_dicts(), *fresh], char)
             # dim(ker d_n cap F_p + B) for p from p_min - 1 to p_max

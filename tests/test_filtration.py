@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from specseq import filtration, simplicial
-from specseq.complexes import ChainComplex, ChainMap
+from specseq.complexes import ChainComplex, ChainMap, shift
 from specseq.errors import NotASubcomplex, NotNested
 from specseq.fields import QQ, PrimeField
 from specseq.filtration import (
@@ -22,6 +22,7 @@ from specseq.linalg import Matrix, Subspace
 from specseq.randomized import random_chain_complex, random_filtered_complex
 from specseq.simplicial import SimplicialComplex, inclusion_map, reduced_chain_complex
 from specseq.text import Lines
+from test_spectral import FIELDS, change_of_basis
 
 F101 = PrimeField(101)
 
@@ -47,6 +48,33 @@ def test_layer_clamping():
     assert fc.layer(-1, 0).is_zero
     assert fc.layer(0, 1).is_zero
     assert fc.layer(0, 0).dim == 1
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_fresh_columns_span_the_layers_and_layer_reads_one_table(field):
+    rng = random.Random(43)
+    for _ in range(8):
+        fc, _ = random_filtered_complex(field, rng, top_degree=3, max_dim=5)
+        for case in (fc, change_of_basis(fc, rng)):
+            amb = case.ambient
+            for n in amb.degrees():
+                window = range(case.p_min - 1, case.p_max + 1)
+                fresh = case.fresh_columns(n)
+                assert len(fresh) == len(window)
+                cols = []
+                for p, new in zip(window, fresh):
+                    cols += new
+                    lay = case.layer(p, n)
+                    assert len(cols) == lay.dim
+                    assert Subspace.spanned_by_columns(field, amb.dim(n), cols) == lay
+                for p in (case.p_max + 1, case.p_max + 9):
+                    assert case.layer(p, n) is case.layer(case.p_max, n)
+                for p in (case.p_min - 2, case.p_min - 9):
+                    assert case.layer(p, n) is case.layer(case.p_min - 1, n)
+            # degrees outside the ambient share one zero space of k^0
+            outside = case.layer(case.p_max, amb.hi + 1)
+            assert outside.ambient_dim == 0
+            assert case.layer(case.p_min - 1, amb.lo - 1) is outside
 
 
 def test_from_basis_levels_requires_matching_lengths():
@@ -75,6 +103,43 @@ def test_validate_rejects_non_nested_layers():
     }
     with pytest.raises(NotNested):
         FilteredComplex(c, layers)
+
+
+def three_levels(c, per_degree):
+    """Layers p = 0, 1, 2 of c: per_degree[n] lists the row vectors spanning
+    layers 0 and 1 in degree n; layer 2 is full."""
+    layers = {2: {n: Subspace.full(QQ, c.dim(n)) for n in c.degrees()}}
+    for p in (0, 1):
+        layers[p] = {
+            n: Subspace.spanned_by_columns(
+                QQ, c.dim(n), [{i: v for i, v in enumerate(row) if v} for row in rows[p]]
+            )
+            for n, rows in per_degree.items()
+        }
+    return layers
+
+
+def test_validate_reports_the_middle_layer():
+    square = ChainComplex(
+        QQ, {0: ("a", "b"), 1: ("u", "v")}, {1: Matrix.from_rows(QQ, [[0, 0], [1, -1]])}
+    )
+    interval_c = interval()
+    cases = [
+        # layer 1 misses layer 0 in degree 0
+        (square, {0: ([[0, 1]], [[1, 0]]), 1: ([], [])}, NotNested,
+         "layer (0, 0) not inside layer (1, 0)"),
+        # the fresh column ab of layer 1 has d(ab) = b - a outside span(a)
+        (interval_c, {0: ([], [[1, 0]]), 1: ([], [[1]])}, ValueError,
+         "layer (1, 1) is not closed under the differential"),
+        # u + v is closed at layer 0; at layer 1 the basis column u keeps the
+        # pivot row of u + v, and d(u) = b, like d(v) = -b, is outside span(a)
+        (square, {0: ([], [[1, 0]]), 1: ([[1, 1]], [[1, 0], [0, 1]])}, ValueError,
+         "layer (1, 1) is not closed under the differential"),
+    ]
+    for c, per_degree, error, message in cases:
+        with pytest.raises(error) as info:
+            FilteredComplex(c, three_levels(c, per_degree))
+        assert str(info.value) == message
 
 
 def test_validate_requires_full_top():
@@ -116,7 +181,7 @@ def test_from_chain_maps_rejects_incomparable_images():
     right = ChainComplex(QQ, {0: ("b",)})
     inc_l = ChainMap(left, c, {0: Matrix.from_rows(QQ, [[1], [0]])})
     inc_r = ChainMap(right, c, {0: Matrix.from_rows(QQ, [[0], [1]])})
-    with pytest.raises(NotNested):
+    with pytest.raises(NotNested, match=r"^layer \(0, 0\) not inside layer \(1, 0\)$"):
         from_chain_maps([inc_l, inc_r])
 
 
@@ -194,6 +259,21 @@ def test_truncation_layers():
             expected = c.dim(n) if n <= p else 0
             assert fc.layer(p, n).dim == expected
     fc.validate()
+
+
+def test_truncation_is_the_coordinate_filtration_by_degree():
+    rng = random.Random(47)
+    for s in (-3, -1, 0, 2):
+        c = shift(random_chain_complex(QQ, rng, top_degree=3, max_dim=4), s)
+        full, zero = Subspace.full, Subspace.zero
+        hand_built = {
+            p: {n: (full if n <= p else zero)(QQ, c.dim(n)) for n in c.degrees()}
+            for p in range(c.lo, c.hi + 1)
+        }
+        assert truncation_filtration(c) == FilteredComplex(c, hand_built, validate=False)
+    empty = truncation_filtration(ChainComplex(QQ, {}))
+    assert (empty.p_min, empty.p_max) == (0, 0)
+    assert empty.layer(0, 0).is_zero and empty.layer(0, 0).ambient_dim == 0
 
 
 def test_tensor_filtration_layer_dims():

@@ -153,6 +153,9 @@ def _graded_directives(lines):
         if head == "vars":
             if not args:
                 raise line.error("vars names no variables")
+            for k, name in enumerate(args):
+                if name in args[:k]:
+                    raise line.error(f"repeated variable {name!r}")
             names = args
         elif head == "relation":
             relations.append(line)
@@ -160,6 +163,8 @@ def _graded_directives(lines):
             (numbers[head],) = line.ints(args)
             if head == "factor" and numbers[head] not in (0, 1):
                 raise line.error("factor must be 0 or 1")
+            if numbers[head] < 0:
+                raise line.error(f"{head} must be nonnegative")
         else:
             raise line.error(f"bad graded directive {line.text!r}")
     if names is None:

@@ -1,10 +1,12 @@
 """Bounded chain complexes of labeled finite-dimensional vector spaces.
 
-Terms live in a finite window of homological degrees, each with an ordered
-basis of opaque hashable labels.  Differentials drop degree by one and are
-checked to compose to zero.  Tensor products follow the Koszul sign rule
-(the sign (-1)^i rides on the second factor's differential), and Hom
-complexes use d(f) = d o f - (-1)^n f o d.
+Terms live in a finite window of homological degrees lo ... hi, each with
+an ordered basis of opaque hashable labels.  Differentials drop degree by
+one and are checked to compose to zero.  A complex holds one differential
+per degree lo ... hi + 1, the zero ones built once with it; every other
+degree maps 0 to 0, and `diff` returns one shared 0x0 zero there.  Tensor
+products follow the Koszul sign rule (the sign (-1)^i rides on the second
+factor's differential), and Hom complexes use d(f) = d o f - (-1)^n f o d.
 
 Block layout, shared by tensor, hom_complex and the filtrations built on
 them: (c tensor d)_n is the sum of the blocks c_i tensor d_j with j = n - i,
@@ -33,7 +35,7 @@ from .linalg import (
 class ChainComplex:
     """A bounded complex; degrees with no listed basis are zero."""
 
-    __slots__ = ("field", "_labels", "_diffs", "lo", "hi")
+    __slots__ = ("field", "_labels", "_diffs", "_zero", "lo", "hi")
 
     def __init__(self, field, labels, diffs=None, validate=True):
         self.field = field
@@ -50,11 +52,13 @@ class ChainComplex:
             self.hi = max(self._labels)
         else:
             self.lo, self.hi = 0, -1
-        self._diffs = {}
+        self._diffs = {
+            n: Matrix(field, self.dim(n - 1), self.dim(n)) for n in range(self.lo, self.hi + 2)
+        }
         for n, m in (diffs or {}).items():
-            if m.is_zero:
-                continue
-            self._diffs[n] = m
+            if not m.is_zero:
+                self._diffs[n] = m
+        self._zero = Matrix(field, 0, 0)
         if validate:
             self.validate()
 
@@ -67,10 +71,9 @@ class ChainComplex:
                     f"differential in degree {n} has shape {m.rows}x{m.cols}, "
                     f"expected {self.dim(n - 1)}x{self.dim(n)}"
                 )
-        for n in list(self._diffs):
-            if n + 1 in self._diffs:
-                if not (self._diffs[n] @ self._diffs[n + 1]).is_zero:
-                    raise NotAComplex(f"d o d is nonzero out of degree {n + 1}")
+        for n, m in self._diffs.items():
+            if not (m @ self.diff(n + 1)).is_zero:
+                raise NotAComplex(f"d o d is nonzero out of degree {n + 1}")
 
     def dim(self, n):
         return len(self._labels.get(n, ()))
@@ -79,10 +82,7 @@ class ChainComplex:
         return self._labels.get(n, ())
 
     def diff(self, n):
-        m = self._diffs.get(n)
-        if m is None:
-            return Matrix.zeros(self.field, self.dim(n - 1), self.dim(n))
-        return m
+        return self._diffs.get(n, self._zero)
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -102,10 +102,7 @@ class ChainComplex:
             isinstance(other, ChainComplex)
             and self.field == other.field
             and self._labels == other._labels
-            and all(
-                self.diff(n) == other.diff(n)
-                for n in set(self._diffs) | set(other._diffs)
-            )
+            and self._diffs == other._diffs
         )
 
     def __repr__(self):
@@ -142,7 +139,8 @@ class ChainMap:
                 raise AmbientMismatch(f"component {n} has the wrong shape")
         degrees = set(self.components)
         degrees |= {n + 1 for n in degrees}
-        degrees |= set(self.source._diffs) | set(self.target._diffs)
+        for c in (self.source, self.target):
+            degrees |= {n for n, d in c._diffs.items() if not d.is_zero}
         for n in degrees:
             left = self.target.diff(n) @ self.component(n)
             right = self.component(n - 1) @ self.source.diff(n)
@@ -194,7 +192,7 @@ def _kron(u, v, v_dim, start):
 
 def _signed_columns(m):
     """The columns of m and of -m: entry s holds those of (-1)^s m."""
-    return m.column_dicts(), (-m).column_dicts()
+    return m.columns, (-m).columns
 
 
 def _product_complex(c, d, degrees, hom, terms):
@@ -224,8 +222,7 @@ def _product_complex(c, d, degrees, hom, terms):
         for i, j, start in blocks[n]:
             for ti, u, v, v_dim in terms(n, i, j):
                 for k, col in enumerate(_kron(u, v, v_dim, target[ti]), start):
-                    for r, x in col.items():
-                        m.entries[(r, k)] = x
+                    m.columns[k].update(col)
         diffs[n] = m
     return ChainComplex(c.field, labels, diffs)
 
@@ -233,8 +230,8 @@ def _product_complex(c, d, degrees, hom, terms):
 def tensor(c, d):
     if c.field != d.field:
         raise MixedFields("tensor across fields")
-    dc = {i: m.column_dicts() for i, m in c._diffs.items()}
-    dd = {j: _signed_columns(m) for j, m in d._diffs.items()}
+    dc = {i: m.columns for i, m in c._diffs.items() if not m.is_zero}
+    dd = {j: _signed_columns(m) for j, m in d._diffs.items() if not m.is_zero}
 
     def terms(n, i, j):
         if i in dc:
@@ -249,8 +246,8 @@ def hom_complex(c, d):
     """Hom(c, d) with matrix-unit basis labels (i, a, b); requires bounded inputs."""
     if c.field != d.field:
         raise MixedFields("Hom across fields")
-    dd = {j: m.column_dicts() for j, m in d._diffs.items()}
-    dc_rows = {i - 1: _signed_columns(m.transpose()) for i, m in c._diffs.items()}
+    dd = {j: m.columns for j, m in d._diffs.items() if not m.is_zero}
+    dc_rows = {i - 1: _signed_columns(m.transpose()) for i, m in c._diffs.items() if not m.is_zero}
 
     def terms(n, i, j):
         if j in dd:

@@ -406,12 +406,14 @@ class GradedModuleMap:
         src = self.source.piece_basis(d)
         tgt_pos = {lab: k for k, lab in enumerate(self.target.piece_basis(d))}
         by_src_gen = _by_source(self)
-        entries = {}
-        for col, (b, mono) in enumerate(src):
+        columns = []
+        for b, mono in src:
+            col = {}
             for a, poly in by_src_gen.get(b, ()):
                 for m2, c in alg.times(poly, mono).items():
-                    entries[(tgt_pos[(a, m2)], col)] = c
-        m = Matrix(alg.field, len(tgt_pos), len(src), entries)
+                    col[tgt_pos[(a, m2)]] = c
+            columns.append(col)
+        m = Matrix.from_column_dicts(alg.field, len(tgt_pos), columns)
         self._expanded[d] = m
         return m
 
@@ -613,16 +615,14 @@ def expand(gc):
         f = gc.map(n)
         if f is None:
             continue
-        entries = {}
+        columns = [{} for _ in labels[n]]
         for d, col_base in offsets[n].items():
             row_base = offsets.get(n - 1, {}).get(d)
             if row_base is None:
                 continue
-            block = f.expanded_matrix(d)
-            for (i, j), c in block.entries.items():
-                entries[(row_base + i, col_base + j)] = c
-        rows = len(labels.get(n - 1, ()))
-        diffs[n] = Matrix(field, rows, len(labels[n]), entries)
+            for j, col in enumerate(f.expanded_matrix(d).columns, col_base):
+                columns[j] = {row_base + i: c for i, c in col.items()}
+        diffs[n] = Matrix.from_column_dicts(field, len(labels.get(n - 1, ())), columns)
     return ChainComplex(field, labels, diffs)
 
 

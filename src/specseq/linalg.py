@@ -1,13 +1,16 @@
 """Exact sparse linear algebra over a coefficient field.
 
 Every scalar stored here is a raw field value (see fields.py): an int
-residue in [0, p) over F_p, an int or a Fraction over QQ.  Matrices are
-dicts mapping (row, col) to a nonzero scalar and act on column vectors held
-as {row: scalar} dicts; subspace bases, quotient representatives and
-coordinate lists hold raw values too.  FieldElement values are accepted only
-where a user hands in scalars (the Matrix constructor, `scale`) and handed
-out only by `Matrix.entry`.  Every sparse update is `_add_multiple`, given
-the field's modulus.
+residue in [0, p) over F_p, an int or a Fraction over QQ.  A matrix is its
+sparse columns: a list of {row: scalar} dicts of nonzero scalars, the same
+form as the column vectors it acts on.  This module alone decides that
+layout; elsewhere a matrix is built from entries or columns and read by
+column, and its `entries` keyed by (row, col) are a derived, read-only view.
+Subspace bases, quotient representatives and coordinate lists hold raw
+values too.  FieldElement values are accepted only where a user hands in
+scalars (the Matrix constructors, `scale`) and handed out only by
+`Matrix.entry`.  Every sparse update is `_add_multiple`, given the field's
+modulus.
 
 Subspaces are kept as reduced column echelon bases with strictly increasing
 pivot rows, which makes the representation canonical: two subspaces are
@@ -85,9 +88,15 @@ def _combine(columns, vecs, p=0):
 
 
 class Matrix:
-    """Sparse exact matrix; absent entries are zero, stored ones never are."""
+    """Sparse exact matrix held as its columns.
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    columns[j] is a {row: scalar} dict of the nonzero raw scalars of column
+    j; absent entries are zero.  The matrix owns these dicts: code that
+    edits columns in place works on `column_dicts()`, a copy.  `entries`,
+    keyed by (row, col), is a read-only view derived from the columns.
+    """
+
+    __slots__ = ("field", "rows", "cols", "columns")
 
     def __init__(self, field, rows, cols, entries=None):
         if rows < 0 or cols < 0:
@@ -95,14 +104,20 @@ class Matrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        clean = {}
+        self.columns = [{} for _ in range(cols)]
         for (i, j), val in (entries or {}).items():
             val = field.scalar(val)
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
             if val:
-                clean[(i, j)] = val
-        self.entries = clean
+                self.columns[j][i] = val
+
+    @classmethod
+    def _of_columns(cls, field, rows, columns):
+        """The matrix that takes over columns of nonzero raw scalars, unchecked."""
+        out = cls.__new__(cls)
+        out.field, out.rows, out.cols, out.columns = field, rows, len(columns), columns
+        return out
 
     @classmethod
     def zeros(cls, field, rows, cols):
@@ -110,9 +125,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        out = cls(field, n, n)
-        out.entries = {(i, i): 1 for i in range(n)}
-        return out
+        return cls._of_columns(field, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_rows(cls, field, rows_data):
@@ -128,32 +141,24 @@ class Matrix:
 
     @classmethod
     def from_column_dicts(cls, field, rows, columns):
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, val in col.items():
-                entries[(i, j)] = val
+        entries = {(i, j): val for j, col in enumerate(columns) for i, val in col.items()}
         return cls(field, rows, len(columns), entries)
 
-    def entry(self, i, j):
-        return self.field.element(self.entries.get((i, j), 0))
+    @property
+    def entries(self):
+        """{(row, col): scalar} of the nonzero entries, a new dict on each read."""
+        return {(i, j): v for j, col in enumerate(self.columns) for i, v in col.items()}
 
-    def column_dict(self, j):
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
+    def entry(self, i, j):
+        return self.field.element(self.columns[j].get(i, 0))
 
     def column_dicts(self):
-        cols = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
+        """Copies of the columns, for code that edits them in place."""
+        return [dict(col) for col in self.columns]
 
     def apply_all(self, vecs):
-        """Images of column vectors given as dicts {row: scalar}, in order.
-
-        The matrix is read into columns once for the whole batch.
-        """
-        if not vecs or not self.entries:
-            return [{} for _ in vecs]
-        return _combine(self.column_dicts(), vecs, self.field.characteristic)
+        """Images of column vectors given as dicts {row: scalar}, in order."""
+        return _combine(self.columns, vecs, self.field.characteristic)
 
     def apply(self, vec):
         """Image of a column vector given as a dict {row: scalar}."""
@@ -166,11 +171,7 @@ class Matrix:
             raise MixedFields("matrix product across fields")
         if self.cols != other.rows:
             raise AmbientMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = Matrix(self.field, self.rows, other.cols)
-        for j, prod in enumerate(self.apply_all(other.column_dicts())):
-            for i, v in prod.items():
-                out.entries[(i, j)] = v
-        return out
+        return Matrix._of_columns(self.field, self.rows, self.apply_all(other.columns))
 
     def _same_shape(self, other):
         if self.field != other.field:
@@ -182,11 +183,10 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other)
-        out = Matrix(self.field, self.rows, self.cols)
-        # the entries, keyed by (row, col), are added as two sparse vectors
-        p = self.field.characteristic
-        (out.entries,) = _combine([self.entries, other.entries], [{0: 1, 1: 1}], p)
-        return out
+        n = self.cols
+        sums = [{j: 1, n + j: 1} for j in range(n)]
+        columns = _combine(self.columns + other.columns, sums, self.field.characteristic)
+        return Matrix._of_columns(self.field, self.rows, columns)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -198,35 +198,37 @@ class Matrix:
 
     def scale(self, scalar):
         scalar = self.field.scalar(scalar)
-        out = Matrix(self.field, self.rows, self.cols)
-        (out.entries,) = _combine([self.entries], [{0: scalar}], self.field.characteristic)
-        return out
+        multiples = [{j: scalar} for j in range(self.cols)]
+        columns = _combine(self.columns, multiples, self.field.characteristic)
+        return Matrix._of_columns(self.field, self.rows, columns)
 
     def transpose(self):
         out = Matrix(self.field, self.cols, self.rows)
-        out.entries = {(j, i): v for (i, j), v in self.entries.items()}
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                out.columns[i][j] = v
         return out
 
     @property
     def is_zero(self):
-        return not self.entries
+        return not any(self.columns)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.field == other.field
             and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
+            and self.columns == other.columns
         )
 
     def __repr__(self):
-        return f"<Matrix {self.rows}x{self.cols} over {self.field}, {len(self.entries)} nonzero>"
+        nonzero = sum(map(len, self.columns))
+        return f"<Matrix {self.rows}x{self.cols} over {self.field}, {nonzero} nonzero>"
 
     def render_text(self):
         """Rows between '|' delimiters, entries right-aligned per column."""
         cells = [
-            [self.field.render(self.entries.get((i, j), 0)) for j in range(self.cols)]
+            [self.field.render(col.get(i, 0)) for col in self.columns]
             for i in range(self.rows)
         ]
         widths = [
@@ -243,8 +245,8 @@ class Matrix:
 def render_matrix_machine(m):
     """Triplet form: header "rows cols field", one "i j scalar" line per entry."""
     lines = [f"{m.rows} {m.cols} {m.field.token()}"]
-    for (i, j) in sorted(m.entries):
-        lines.append(f"{i} {j} {m.field.render(m.entries[(i, j)])}")
+    for (i, j), v in sorted(m.entries.items()):
+        lines.append(f"{i} {j} {m.field.render(v)}")
     lines.append("end")
     return "\n".join(lines)
 
@@ -456,7 +458,7 @@ class Subspace:
 
     @classmethod
     def spanned_by(cls, matrix):
-        return cls.spanned_by_columns(matrix.field, matrix.rows, matrix.column_dicts())
+        return cls.spanned_by_columns(matrix.field, matrix.rows, matrix.columns)
 
     @property
     def dim(self):
@@ -544,9 +546,8 @@ def _check_pair(a, b):
 def echelonize(m):
     """Reduced column echelon form with the same shape; returns (matrix, rank)."""
     cols, pivots = _py_rcef(m.column_dicts(), m.field.characteristic)
-    out = Matrix.from_column_dicts(m.field, m.rows, cols)
-    out.cols = m.cols
-    return out, len(pivots)
+    cols += [{} for _ in range(m.cols - len(cols))]
+    return Matrix._of_columns(m.field, m.rows, cols), len(pivots)
 
 
 def rank(m):
@@ -585,7 +586,7 @@ def _cut(sub, m, w):
     and it is K itself when every column of B is a unit vector, as for the
     full space and every coordinate layer.  R_w m B is built on its rows,
     as _kernel_columns takes them.  The image of a basis column with no row
-    but its pivot r is m's column r, read off m's entries.  R_w subtracts
+    but its pivot r is m's column r, as stored.  R_w subtracts
     row q times entry i of w's basis column at pivot q from each row i, and
     drops w's pivot rows.  When R_w m B = 0 the answer is sub.
     """
@@ -594,13 +595,14 @@ def _cut(sub, m, w):
     p = sub.field.characteristic
     last = sub.pivots[-1]
     # the full space's basis is the identity: m's columns are taken as they are
-    entries, tailed = m.entries.items(), {}
+    columns, tailed = enumerate(m.columns), {}
     if not sub.is_full:
         index, tailed = sub._index()
-        entries = [(ir, v) for ir, v in entries if ir[1] in index and ir[1] not in tailed]
+        columns = [(r, m.columns[r]) for r in index if r not in tailed]
     rows = [{} for _ in range(m.rows)]
-    for (i, r), v in entries:
-        rows[i][last - r] = v
+    for r, col in columns:
+        for i, v in col.items():
+            rows[i][last - r] = v
     if tailed:
         for r, y in zip(tailed, m.apply_all(list(tailed.values()))):
             for i, v in y.items():
@@ -721,18 +723,14 @@ def induced_map(m, src, tgt):
     for y in images[: len(relations)]:
         if not tgt.relations.contains_vector(y):
             raise NotWellDefined("relations are not carried into relations")
-    entries = {}
-    for j, y in enumerate(images[len(relations):]):
+    columns = []
+    for y in images[len(relations):]:
         try:
             coords = tgt.coordinates(y)
         except NotASubspace:
             raise NotWellDefined("image leaves the target subquotient") from None
-        for i, c in enumerate(coords):
-            if c:
-                entries[(i, j)] = c
-    out = Matrix(m.field, tgt.dim, src.dim)
-    out.entries = entries
-    return out
+        columns.append({i: c for i, c in enumerate(coords) if c})
+    return Matrix._of_columns(m.field, tgt.dim, columns)
 
 
 def apply_to_subspace(m, sub):

@@ -68,13 +68,11 @@ class SimplicialComplex:
 def _boundary_matrix(s, field, k):
     """Boundary from k-faces to (k-1)-faces, alternating vertex deletion."""
     rows = {f: i for i, f in enumerate(s.faces(k - 1))}
-    cols = s.faces(k)
-    entries = {}
-    for j, face in enumerate(cols):
-        for l in range(len(face)):
-            sub = face[:l] + face[l + 1 :]
-            entries[(rows[sub], j)] = -1 if l % 2 else 1
-    return Matrix(field, len(rows), len(cols), entries)
+    columns = [
+        {rows[face[:l] + face[l + 1 :]]: -1 if l % 2 else 1 for l in range(len(face))}
+        for face in s.faces(k)
+    ]
+    return Matrix.from_column_dicts(field, len(rows), columns)
 
 
 def reduced_chain_complex(s, field, reduced=True):
@@ -112,7 +110,7 @@ def inclusion_map(sub, sup, field, reduced=True):
     src = reduced_chain_complex(sub, field, reduced=reduced)
     tgt = reduced_chain_complex(sup, field, reduced=reduced)
     comps = {
-        k: Matrix(field, len(sup.faces(k)), len(rows), {(i, j): 1 for j, i in enumerate(rows)})
+        k: Matrix.from_column_dicts(field, len(sup.faces(k)), [{i: 1} for i in rows])
         for k, rows in positions.items()
         if k >= (-1 if reduced else 0)
     }

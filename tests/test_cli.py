@@ -391,6 +391,22 @@ def test_errors_name_the_file_line(build, good, bad, at, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "good, bad, message",
+    [
+        ("vars x", "vars x x", "repeated variable 'x'"),
+        ("length 1", "length -1", "length must be nonnegative"),
+        ("length 1", "length 1\ntop-bound -1", "top-bound must be nonnegative"),
+    ],
+    ids=["repeated-variable", "negative-length", "negative-top-bound"],
+)
+def test_graded_directives_are_refused_at_their_line(good, bad, message, tmp_path, capsys):
+    text = ("field QQ\n" + GRADED + QUERIES).replace(good, bad)
+    lineno = text.splitlines().index(bad.split("\n")[-1]) + 1
+    code, err = run_main(tmp_path, text, capsys)
+    assert (code, err) == (2, f"parse error: line {lineno}: {message}\n")
+
+
+@pytest.mark.parametrize(
     "good, bad",
     [
         ("field QQ", "fields QQ"),

@@ -8,7 +8,8 @@ duplicating, swapping or truncating lines and deleting tokens; none invents
 a number, so none asks for more work than the scenario it came from.  Grown
 scenarios follow the skeleton of each build kind and of the queries, with
 random tokens in every slot; their only numbers are -2 ... 3, so none asks
-for large work either.
+for large work either.  Flat streams drop the skeleton: lines of the
+grammar's keywords, numbers -2 ... 3 and junk tokens in any order.
 """
 
 import contextlib
@@ -24,6 +25,16 @@ from specseq import cli
 
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
 MUTATIONS = ("delete", "duplicate", "swap", "truncate", "delete-token")
+TOKENS = (
+    *("field", "build", "end-build", "queries", "end-queries", "non-reduced"),
+    *("graded", "vars", "relation", "length", "factor", "top-bound"),
+    *("simplicial", "facet", "end-simplicial", "complex", "term", ":", "diff", "end"),
+    *("end-complex", "filtered", "layer", "full", "zero", "end-filtered"),
+    *("truncation", "tensor", "tensor-mirrored", "hom"),
+    *("page", "differential", "image-length", "infinity", "compare"),
+    *("QQ", "F2", "F101", "-2", "-1", "0", "1", "2", "3"),
+    *("x", "y", "x^2", "x*y", "1/2", "F4", "a", "#", "+", "end-", "buildx"),
+)
 
 
 @st.composite
@@ -131,6 +142,34 @@ def grown(rng):
     return "\n".join(lines) + "\n"
 
 
+def flat(rng):
+    """Lines of one to three tokens drawn from TOKENS.  Most files set them
+    inside a build section of a random kind, so that they reach the kind's
+    block readers, followed by queries that are at times flat as well.  At
+    most two names follow `vars`, so no graded build is larger than the
+    grown ones."""
+
+    def stream(most):
+        return [
+            " ".join(rng.choice(TOKENS) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, most))
+        ]
+
+    if rng.random() < 0.2:
+        return "\n".join(stream(40)) + "\n"
+    queries = stream(4) if rng.random() < 0.3 else ["page 1", "infinity", "compare"]
+    lines = [
+        f"field {rng.choice(('QQ', 'F2', 'F101'))}",
+        f"build {rng.choice(sorted(cli.BUILDS))}",
+        *stream(30),
+        "end-build",
+        "queries",
+        *queries,
+        "end-queries",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def assert_documented_exit(text, flags):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -160,3 +199,9 @@ def test_mutated_scenarios_end_in_a_documented_exit(text, flags):
 @given(seed=st.integers(0, 2**32 - 1), flags=FLAGS)
 def test_grown_scenarios_end_in_a_documented_exit(seed, flags):
     assert_documented_exit(grown(random.Random(seed)), flags)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), flags=FLAGS)
+def test_flat_token_streams_end_in_a_documented_exit(seed, flags):
+    assert_documented_exit(flat(random.Random(seed)), flags)

@@ -50,6 +50,17 @@ def test_basic_accessors():
     assert not c.is_zero
 
 
+def test_diff_is_one_stored_matrix_per_degree():
+    rng = random.Random(5)
+    complexes = [circle(), point(F101), ChainComplex(QQ, {}), tensor(circle(), interval())]
+    complexes += [shift(random_chain_complex(f, rng), -2) for f in (QQ, F101) for _ in range(5)]
+    for c in complexes:
+        for n in range(c.lo - 2, c.hi + 4):
+            d = c.diff(n)
+            assert d is c.diff(n)
+            assert (d.field, d.rows, d.cols) == (c.field, c.dim(n - 1), c.dim(n))
+
+
 def test_rejects_non_complex():
     d2 = Matrix.from_rows(QQ, [[1], [0], [0]])
     with pytest.raises(NotAComplex):

@@ -150,7 +150,7 @@ def test_reduce_recombines_to_the_vector():
         for _ in range(25):
             ambient = rng.randint(1, 12)
             s = rand_subspace(field, rng, ambient, rng.randint(0, 8))
-            vec = rand_matrix(field, rng, ambient, 1, density=0.5).column_dict(0)
+            vec = rand_matrix(field, rng, ambient, 1, density=0.5).columns[0]
             coords, residual = s.reduce(vec)
             assert len(coords) == s.dim
             assert residual == s.residual(vec)
@@ -210,7 +210,7 @@ def test_first_reads_of_a_shared_subspace_race_safely():
     # a subspace builds its pivot index on first read; threads that read a
     # fresh one at once must all see a complete index
     rng = random.Random(3)
-    vecs = [rand_matrix(F101, rng, 40, 1).column_dict(0) for _ in range(8)]
+    vecs = [rand_matrix(F101, rng, 40, 1).columns[0] for _ in range(8)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -318,8 +318,8 @@ def test_quotient_dims_and_linearity():
             for col in w.basis_columns:
                 assert not any(q.coordinates(col))
             if q.dim:
-                a = rand_matrix(field, rng, ambient, 1).column_dict(0)
-                b = rand_matrix(field, rng, ambient, 1).column_dict(0)
+                a = rand_matrix(field, rng, ambient, 1).columns[0]
+                b = rand_matrix(field, rng, ambient, 1).columns[0]
                 ca = q.coordinates(a)
                 cb = q.coordinates(b)
                 ab = dict(a)
@@ -367,7 +367,7 @@ def test_induced_map_random_consistency():
             ind = induced_map(m, q, q)
             for j, rep in enumerate(q.reps.column_dicts()):
                 coords = q.coordinates(m.apply(rep))
-                assert ind.column_dict(j) == {
+                assert ind.columns[j] == {
                     i: v for i, v in enumerate(coords) if v
                 }
 
@@ -618,6 +618,9 @@ def test_machine_matrix_round_trip():
             parsed = parse_matrix_machine(lines)
             assert parsed == m
             assert lines.done
+            # the (row, col) view and the columns each rebuild the matrix
+            assert Matrix(field, m.rows, m.cols, m.entries) == m
+            assert Matrix.from_column_dicts(field, m.rows, m.columns) == m
 
 
 @settings(max_examples=60)

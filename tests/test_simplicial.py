@@ -35,10 +35,10 @@ def test_boundary_of_edge():
     s = SimplicialComplex(["a", "b"], [["a", "b"]])
     c = reduced_chain_complex(s, QQ)
     d1 = c.diff(1)
-    assert d1.column_dict(0) == {0: QQ.element(-1), 1: QQ.element(1)}
+    assert d1.columns[0] == {0: QQ.element(-1), 1: QQ.element(1)}
     # reduced complex keeps the empty face in degree -1
     assert c.dim(-1) == 1
-    assert c.diff(0).column_dict(0) == {0: QQ.element(1)}
+    assert c.diff(0).columns[0] == {0: QQ.element(1)}
 
 
 def test_full_triangle_is_acyclic():

@@ -461,6 +461,35 @@ def test_limit_comparison_matches_reference_on_non_coordinate_layers(field):
     assert all(non_coordinate)
 
 
+@pytest.mark.parametrize("field", [QQ, F101], ids=str)
+def test_queries_leave_the_differentials_and_layers_as_built(field):
+    # the engine edits columns in place, so it must only ever get copies
+    for seed in range(10):
+        rng = random.Random(f"intact:{seed}")
+        fc, _ = random_filtered_complex(field, rng)
+        for case in (fc, change_of_basis(fc, rng)):
+            amb = case.ambient
+            degrees = range(amb.lo - 1, amb.hi + 3)
+            diffs = {}
+            for n in degrees:
+                d = amb.diff(n)
+                diffs[n] = Matrix(field, d.rows, d.cols, d.entries)
+            layers = {}
+            for p in range(case.p_min - 1, case.p_max + 1):
+                for n in degrees:
+                    lay = case.layer(p, n)
+                    columns = [dict(c) for c in lay.basis_columns]
+                    layers[(p, n)] = Subspace(field, lay.ambient_dim, columns, lay.pivots)
+            ss = SpectralSequence(case)
+            for r in range(ss.r_star + 1):
+                ss.page(r)
+                if r:
+                    ss.page_map(r)
+            ss.limit_comparison()
+            assert {n: amb.diff(n) for n in degrees} == diffs
+            assert {key: case.layer(*key) for key in layers} == layers
+
+
 @pytest.mark.parametrize("field", FIELDS[:3], ids=str)
 def test_limit_comparison_only_counts_ranks(field, monkeypatch):
     # with the infinity page memoized, the comparison cuts no cycle space,

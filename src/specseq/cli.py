@@ -10,7 +10,6 @@ successfully built object, 2 on unreadable input or malformed scenarios.
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .complexes import parse_complex
@@ -42,6 +41,7 @@ from .graded import (
     parse_poly,
     relation_degree,
     tensor_complex,
+    variable_names,
 )
 from .linalg import rank, render_matrix_machine
 from .simplicial import parse_simplicial
@@ -153,10 +153,7 @@ def _graded_directives(lines):
         if head == "vars":
             if not args:
                 raise line.error("vars names no variables")
-            for k, name in enumerate(args):
-                if name in args[:k]:
-                    raise line.error(f"repeated variable {name!r}")
-            names = args
+            names = line.build(ValueError, variable_names, len(args), args)
         elif head == "relation":
             relations.append(line)
         elif head in ("length", "factor", "top-bound") and len(args) == 1:
@@ -245,15 +242,6 @@ def _degree_table(fc, n):
     return None
 
 
-def _page_entries(ss, r, threads):
-    if threads > 1:
-        fc = ss.source
-        positions = [(p, n - p) for p in fc.p_range for n in fc.ambient.degrees()]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda pq: ss.entry(r, pq[0], pq[1]), positions))
-    return {pq: pres for pq, pres in ss.page(r).entries.items() if pres.dim}
-
-
 def _cell_text(pres, table):
     if table is None:
         return str(pres.dim)
@@ -318,10 +306,10 @@ def parse_machine_page(text):
     return out
 
 
-def _run_query(ss, query, machine, threads, out):
+def _run_query(ss, query, machine, out):
     if query.kind == "page" or query.kind == "infinity":
         r = ss.r_star if query.kind == "infinity" else query.r
-        entries = _page_entries(ss, r, threads)
+        entries = {pq: pres for pq, pres in ss.page(r).entries.items() if pres.dim}
         tables = {n: _degree_table(ss.source, n) for n in {p + q for p, q in entries}}
         if machine:
             lines = render_page_machine(r, entries, tables)
@@ -367,6 +355,10 @@ def _run_query(ss, query, machine, threads, out):
 
 
 def run(text, field_override=None, threads=1, machine=False, check=False, out=None):
+    """Run a scenario's queries on the calling thread; return the exit status.
+
+    `threads` is accepted and ignored, without a warning: perfbench still passes
+    it, and it goes in the benchmark change that stops that (ROADMAP.md item 1)."""
     if out is None:
         out = sys.stdout
     scenario = parse_scenario(text)
@@ -389,7 +381,7 @@ def run(text, field_override=None, threads=1, machine=False, check=False, out=No
     code = 0
     try:
         for query in scenario.queries:
-            code = max(code, _run_query(ss, query, machine, threads, out))
+            code = max(code, _run_query(ss, query, machine, out))
     except (ComparisonFailure, NotWellDefined) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
@@ -404,18 +396,12 @@ def main(argv=None):
     parser.add_argument("scenario", help="path to a scenario file")
     parser.add_argument("--field", default=None, help="override the scenario's field")
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads for page queries"
-    )
-    parser.add_argument(
         "--machine", action="store_true", help="machine readable output"
     )
     parser.add_argument(
         "--check", action="store_true", help="re-validate the built filtration"
     )
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("--threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         with open(args.scenario, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -426,7 +412,6 @@ def main(argv=None):
         return run(
             text,
             field_override=args.field,
-            threads=args.threads,
             machine=args.machine,
             check=args.check,
         )

@@ -68,11 +68,22 @@ def poly_degree(poly):
     return degs.pop()
 
 
-def parse_poly(field, num_vars, text, names=None):
-    """Parse "c*x^a*y^b + ..." into a monomial-keyed coefficient dict."""
-    names = list(names) if names else [f"x{i + 1}" for i in range(num_vars)]
+def variable_names(num_vars, names=None):
+    """The variable names, x1, x2, ... by default: one per variable, none repeated."""
+    if not names:
+        return [f"x{i + 1}" for i in range(num_vars)]
+    names = list(names)
     if len(names) != num_vars:
         raise ValueError("need one name per variable")
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValueError(f"repeated variable {name!r}")
+    return names
+
+
+def parse_poly(field, num_vars, text, names=None):
+    """Parse "c*x^a*y^b + ..." into a monomial-keyed coefficient dict."""
+    names = variable_names(num_vars, names)
     index = {nm: i for i, nm in enumerate(names)}
     s = text.replace("−", "-").strip()
     if not s:
@@ -251,7 +262,7 @@ def build_quotient_algebra(field, num_vars, gens, top_bound=64, names=None):
     is an ideal slice, every higher degree is then empty too.  Raises
     NotFiniteDimensional if no degree up to top_bound empties out.
     """
-    names = list(names) if names else [f"x{i + 1}" for i in range(num_vars)]
+    names = variable_names(num_vars, names)
     relations = []
     by_degree = {}
     for g in gens:
@@ -487,6 +498,8 @@ def minimal_free_resolution(algebra, length_limit):
     times the kernel; echelon order breaks ties, so the output is
     deterministic.
     """
+    if length_limit < 0:
+        raise ValueError(f"resolution length must be nonnegative, got {length_limit}")
     field = algebra.field
     modules = {0: GradedFreeModule(algebra, (0,), ((0, 0),))}
     maps = {}

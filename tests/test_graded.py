@@ -124,6 +124,16 @@ def test_degenerate_relations_rejected():
         build_quotient_algebra(QQ, 1, ["1 + x"], names=["x"])
 
 
+def test_repeated_variable_name_rejected():
+    with pytest.raises(ValueError, match="repeated variable 'x'"):
+        build_quotient_algebra(QQ, 2, ["x^2"], names=["x", "x"])
+
+
+def test_negative_resolution_length_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        minimal_free_resolution(square_zero_algebra(), -1)
+
+
 def test_koszul_shape():
     k = koszul_complex(square_zero_algebra())
     assert [k.module(n).rank for n in range(3)] == [1, 2, 1]

@@ -12,7 +12,8 @@ arithmetic in the spectral sequence uniform.
 
 from .complexes import _blocks, _kron, hom_complex, parse_complex, render_complex, tensor
 from .errors import MixedFields, NotNested
-from .linalg import Subspace, image, parse_matrix_machine, render_matrix_machine
+from .linalg import QuotientPresentation, Subspace, image
+from .linalg import parse_matrix_machine, render_matrix_machine
 from .simplicial import _face_positions, reduced_chain_complex
 
 
@@ -55,14 +56,12 @@ class FilteredComplex:
 
     def fresh_columns(self, n):
         """For each layer p_min - 1, ..., p_max of a degree n of the ambient,
-        its basis columns whose pivot row is no pivot of the layer below.
-        Pivot rows grow with the layers, so the fresh columns of the layers
-        up to p span layer p."""
-        fresh, below = [], ()
-        for lay in self._table[n]:
-            fresh.append([c for c, i in zip(lay.basis_columns, lay.pivots) if i not in below])
-            below = set(lay.pivots)
-        return fresh
+        its basis columns whose pivot row is no pivot of the layer below: the
+        representatives of its quotient by that layer.  Pivot rows grow with
+        the layers, so the fresh columns of the layers up to p span layer p."""
+        column = self._table[n]
+        quotients = map(QuotientPresentation, column[1:], column)
+        return [column[0].basis_columns, *(q.rep_columns for q in quotients)]
 
     def validate(self):
         for n, column in self._table.items():

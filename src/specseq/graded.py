@@ -533,8 +533,7 @@ def minimal_free_resolution(algebra, length_limit):
                 for f in times_x:
                     images += f.expanded_matrix(d).apply_all(below.basis_columns)
             pres = quotient(k_d, Subspace.spanned_by_columns(field, k_d.ambient_dim, images))
-            for rep in pres.rep_columns:
-                chosen.append((d, rep))
+            chosen += [(d, rep) for rep in pres.rep_columns]
             prev_kernel[d] = k_d
         degrees = tuple(d for d, _ in chosen)
         labels = tuple((p, k) for k in range(len(chosen)))

@@ -519,8 +519,7 @@ class Subspace:
         return not self.residual(vec)
 
     def contains(self, other):
-        if other.ambient_dim != self.ambient_dim:
-            raise AmbientMismatch("containment across different ambient spaces")
+        _check_pair(self, other)
         return all(self.contains_vector(c) for c in other.basis_columns)
 
     def __eq__(self, other):
@@ -646,19 +645,23 @@ def preimage(m, w):
 class QuotientPresentation:
     """Subquotient v/w presented on an explicit basis of representatives.
 
-    The representatives are the canonical basis of the complement: the span
-    of v's echelon basis reduced modulo w.  So the presentation is canonical
-    for the pair (v, w).
+    The representatives are v's basis columns at pivot rows outside w's.
+    With w in v, w's pivot rows are v's, so such a column is 0 at all of w's:
+    it is its own residual modulo w, and they are the canonical basis of the
+    complement.  They share v's column dicts, sound only while no code edits
+    a subspace's basis columns in place (the engine is handed copies).
     """
 
     __slots__ = ("field", "ambient_dim", "space", "relations", "complement")
 
-    def __init__(self, space, relations, complement):
+    def __init__(self, space, relations):
         self.field = space.field
         self.ambient_dim = space.ambient_dim
         self.space = space
         self.relations = relations
-        self.complement = complement
+        taken = set(relations.pivots)
+        kept = {pr: c for pr, c in zip(space.pivots, space.basis_columns) if pr not in taken}
+        self.complement = Subspace(self.field, self.ambient_dim, kept.values(), kept)
 
     @property
     def dim(self):
@@ -689,9 +692,7 @@ class QuotientPresentation:
     def __eq__(self, other):
         return (
             isinstance(other, QuotientPresentation)
-            and self.space == other.space
-            and self.relations == other.relations
-            and self.complement == other.complement
+            and (self.space, self.relations) == (other.space, other.relations)
         )
 
     def __repr__(self):
@@ -699,17 +700,17 @@ class QuotientPresentation:
 
 
 def quotient(v, w):
-    """Present v/w; raises NotASubspace unless w is contained in v, that is
-    unless the residuals of v modulo w, of dimension dim v - dim(v & w),
-    have dimension dim v - dim w."""
-    _check_pair(v, w)
-    if w.is_zero:
-        return QuotientPresentation(v, w, v)
-    residuals = [w.residual(col) for col in v.basis_columns]
-    comp = Subspace.spanned_by_columns(v.field, v.ambient_dim, [r for r in residuals if r])
-    if comp.dim != v.dim - w.dim:
+    """Present v/w, with no elimination; raises NotASubspace unless w is in v.
+
+    >>> from specseq.fields import QQ
+    >>> v = Subspace.full(QQ, 3)
+    >>> q = quotient(v, Subspace.spanned_by_columns(QQ, 3, [{0: 1, 2: 1}]))
+    >>> q.rep_pivots, q.rep_columns == v.basis_columns[1:]
+    ((1, 2), True)
+    """
+    if not v.contains(w):
         raise NotASubspace("denominator not contained in numerator")
-    return QuotientPresentation(v, w, comp)
+    return QuotientPresentation(v, w)
 
 
 def induced_map(m, src, tgt):

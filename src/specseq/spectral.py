@@ -25,9 +25,10 @@ denominator is (below, lo, n), and whose arriving part is (above, hi, n + 1).
 An entry is memoized on its key, so each distinct one is computed once.  Its
 denominator is one elimination of the basis of the first part with the
 nonzero d-images of that of the arriving part, or the first part itself when
-there are none.  Stabilization at each position falls out of the key, not
-out of r_star: E^r(p, q) is one value for all
-r >= max(p - p_min + 1, p_max - p + 1).
+there are none.  Its representatives are the numerator's basis columns at
+the pivots outside the denominator's, selected with no elimination.
+Stabilization at each position falls out of the key, not out of r_star:
+E^r(p, q) is one value for all r >= max(p - p_min + 1, p_max - p + 1).
 
 A page map out of p <= p_max is memoized on the key of its source entry
 alone.  Two such queries share that key only where their clamped p and

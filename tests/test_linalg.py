@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specseq.errors import AmbientMismatch, NotASubspace, NotWellDefined
+from specseq import linalg
+from specseq.errors import AmbientMismatch, MixedFields, NotASubspace, NotWellDefined
 from specseq.fields import QQ, PrimeField, parse_field_token
 from specseq.linalg import (
     Matrix,
@@ -206,6 +207,13 @@ def test_zero_and_full():
     assert f.contains(z)
 
 
+def test_contains_refuses_mixed_fields_and_ambients():
+    with pytest.raises(MixedFields):
+        Subspace.full(QQ, 2).contains(Subspace.full(PrimeField(2), 2))
+    with pytest.raises(AmbientMismatch):
+        Subspace.full(QQ, 2).contains(Subspace.full(QQ, 3))
+
+
 def test_first_reads_of_a_shared_subspace_race_safely():
     # a subspace builds its pivot index on first read; threads that read a
     # fresh one at once must all see a complete index
@@ -304,6 +312,41 @@ def test_quotient_rejects_outside_vectors():
     e1 = Subspace.spanned_by(Matrix.from_rows(QQ, [[0], [1], [0]]))
     with pytest.raises(NotASubspace, match="denominator not contained in numerator"):
         quotient(v, e1)
+    # w's pivots are among v's, yet w is not in v: the selection alone would
+    # accept it
+    v = Subspace.spanned_by_columns(QQ, 3, [{0: 1, 2: 1}])
+    w = Subspace.spanned_by_columns(QQ, 3, [{0: 1}])
+    with pytest.raises(NotASubspace, match="denominator not contained in numerator"):
+        quotient(v, w)
+
+
+def test_quotient_selects_the_canonical_complement_with_no_elimination(monkeypatch):
+    # w is spanned by random combinations of v's basis, so w lies in v; the
+    # reference is the complement by its definition, the span of the
+    # residuals of v's basis modulo w, computed before the engine is patched
+    rng = random.Random(61)
+    cases = []
+    for field in (QQ, PrimeField(2), F101):
+        for _ in range(40):
+            ambient = rng.randint(2, 7)
+            v = rand_subspace(field, rng, ambient, rng.randint(1, ambient))
+            if all(len(c) == 1 for c in v.basis_columns):
+                continue
+            w = image(v.basis_matrix() @ rand_matrix(field, rng, v.dim, rng.randint(1, v.dim)))
+            residuals = [w.residual(c) for c in v.basis_columns]
+            reference = Subspace.spanned_by_columns(field, ambient, [r for r in residuals if r])
+            cases.append((v, w, reference))
+    assert sum(0 < w.dim < v.dim for v, w, _ in cases) > 30
+
+    def refuse(*args):
+        raise AssertionError("quotient ran an elimination")
+
+    monkeypatch.setattr(linalg, "_py_rcef", refuse)
+    monkeypatch.setattr(linalg, "_reduce_columns", refuse)
+    for v, w, reference in cases:
+        q = quotient(v, w)
+        assert q.complement == reference
+        assert q.dim == v.dim - w.dim
 
 
 def test_quotient_dims_and_linearity():

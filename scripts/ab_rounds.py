@@ -1,0 +1,89 @@
+"""Alternate whole benchmark rounds of two checkouts in one process.
+
+Usage: python3 scripts/ab_rounds.py TREE_A TREE_B WORKLOAD --rounds N [--seed S]
+
+Each tree's src/specseq and perfbench/workloads.py (with its oracle.py)
+are imported under their own names and then taken out of sys.modules
+again, so the next tree's import makes a second, separate set of modules;
+nothing is written to either tree.  Both trees make the round's inputs
+from the same seed and run the warm-up instances, then whole rounds
+alternate, A B, B A, A B, ..., each timed in process CPU time.  Comparing inside one process takes out most of the spread between
+fresh processes, which is wider than the few-percent effects a change to
+the library usually has.  Prints each tree's median round, the ratio B/A
+and the number of rounds in which B was lower.
+"""
+
+import argparse
+import gc
+import statistics
+import sys
+import time
+from pathlib import Path
+
+OWN_MODULES = ("specseq", "workloads", "oracle")
+
+
+def load_workload(tree, name):
+    """The workload `name` of tree's perfbench, on tree's own specseq."""
+    tree = Path(tree).resolve()
+    if not (tree / "src" / "specseq" / "__init__.py").is_file():
+        raise SystemExit(f"error: no specseq package under {tree / 'src'}")
+
+    def detach():
+        for key in [k for k in sys.modules if k.split(".")[0] in OWN_MODULES]:
+            del sys.modules[key]
+
+    detach()
+    paths = [str(tree / "src"), str(tree / "perfbench")]
+    sys.path[:0] = paths
+    try:
+        import workloads
+    finally:
+        del sys.path[: len(paths)]
+        detach()
+    if name not in workloads.WORKLOADS:
+        raise SystemExit(f"error: no workload {name!r} in {tree}")
+    return workloads.WORKLOADS[name]
+
+
+def round_cpu(workload, inputs):
+    """Process CPU seconds of one round of the workload's instances."""
+    gc.collect()
+    start = time.process_time()
+    for spec in inputs:
+        workload.run(spec)
+    return time.process_time() - start
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a")
+    parser.add_argument("tree_b")
+    parser.add_argument("workload")
+    parser.add_argument("--rounds", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    sides = []
+    for tree in (args.tree_a, args.tree_b):
+        workload = load_workload(tree, args.workload)
+        inputs = workload.make_inputs(args.seed)
+        for spec in workload.warm_up(inputs):
+            workload.run(spec)
+        sides.append((workload, inputs))
+    times = ([], [])
+    for k in range(args.rounds):
+        for side in (0, 1) if k % 2 == 0 else (1, 0):
+            times[side].append(round_cpu(*sides[side]))
+    a, b = (statistics.median(t) for t in times)
+    wins = sum(tb < ta for ta, tb in zip(*times))
+    print(
+        f"{args.workload} seed {args.seed}, {args.rounds} rounds: "
+        f"A {a:.4f} s, B {b:.4f} s (median CPU), B/A {b / a:.3f}, "
+        f"B lower in {wins} of {args.rounds}"
+    )
+
+
+if __name__ == "__main__":
+    main()

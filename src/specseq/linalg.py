@@ -14,7 +14,11 @@ modulus.
 
 Subspaces are kept as reduced column echelon bases with strictly increasing
 pivot rows, which makes the representation canonical: two subspaces are
-equal exactly when their stored bases are identical.
+equal exactly when their stored bases are identical.  Two containment
+questions are so settled without reducing anything: a space contains an
+equal one, and a coordinate subspace (every basis column a unit vector)
+holds a vector whose rows are all among its pivots.  `contains` and
+`contains_vector` try these first and compute residuals only when they fail.
 
 Elimination: both fields go through one sparse column algorithm.  A lookup
 table from pivot row to pivot column lets each incoming column be reduced
@@ -349,10 +353,10 @@ def _reduce_columns(cols, p, piv=None):
     return piv
 
 
-def _prefix_ranks(stages, p):
-    """Ranks of the first k stages of columns together, k = 1, 2, ...: one
-    pivot table, continued; each stage goes in sparsest first, to limit fill."""
-    piv = {}
+def _prefix_ranks(stages, p, piv):
+    """Ranks of the pivot table piv's columns and the first k stages of
+    columns together, k = 1, 2, ...: piv is continued in place, and each
+    stage goes in sparsest first, to limit fill."""
     return [len(_reduce_columns(sorted(cols, key=len), p, piv)) for cols in stages]
 
 
@@ -516,11 +520,13 @@ class Subspace:
         return residual
 
     def contains_vector(self, vec):
-        return not self.residual(vec)
+        index, tailed = self._index()
+        # a coordinate subspace holds every vector on its pivot rows
+        return (not tailed and index.keys() >= vec.keys()) or not self.residual(vec)
 
     def contains(self, other):
         _check_pair(self, other)
-        return all(self.contains_vector(c) for c in other.basis_columns)
+        return other == self or all(map(self.contains_vector, other.basis_columns))
 
     def __eq__(self, other):
         return (
@@ -559,6 +565,8 @@ def image(m):
 
 
 def kernel(m):
+    if m.is_zero:
+        return Subspace.full(m.field, m.cols)
     return _cut(Subspace.full(m.field, m.cols), m, Subspace.zero(m.field, m.rows))
 
 

@@ -25,8 +25,11 @@ denominator is (below, lo, n), and whose arriving part is (above, hi, n + 1).
 An entry is memoized on its key, so each distinct one is computed once.  Its
 denominator is one elimination of the basis of the first part with the
 nonzero d-images of that of the arriving part, or the first part itself when
-there are none.  Its representatives are the numerator's basis columns at
-the pivots outside the denominator's, selected with no elimination.
+there are none.  Where the first part equals the numerator the entry is
+zero: nothing is eliminated, and each arriving vector is only checked to lie
+in the numerator, raising NotASubspace as quotient does.  Its
+representatives are the numerator's basis columns at the pivots outside the
+denominator's, selected with no elimination.
 Stabilization at each position falls out of the key, not out of r_star:
 E^r(p, q) is one value for all r >= max(p - p_min + 1, p_max - p + 1).
 
@@ -44,16 +47,19 @@ answers every position.
 B = im d_{n+1}, inside ker d_n: d_n maps F_p + B onto d_n F_p with kernel
 (ker d_n cap F_p) + B, so dim((ker d_n cap F_p) + B) = dim(F_p + B) -
 rank(d_n on F_p), whose step from p - 1 to p is gr_p H_n.  Per degree, one
-pivot table is fed the columns of d_{n+1} and then each layer's fresh basis
-columns (FilteredComplex.fresh_columns, whose columns up to layer p span
-F_p), another their d_n-images, and each rank is read after each layer.  So
+pivot table spanning B is fed each layer's fresh basis columns
+(FilteredComplex.fresh_columns, whose columns up to layer p span F_p),
+another their d_n-images, and each rank is read after each layer.  The
+degrees go downward: the fresh columns of all layers span the term, as the
+top layer is full, so the second table of degree n + 1 spans im d_{n+1} and
+is the first table of degree n, and no boundary matrix is reduced twice.  So
 the comparison shares only _reduce_columns, Matrix.apply_all and the layer
 bases with the pages: no _cut, kernel or back-substitution.  The memo
 tables take no lock; dict.setdefault, atomic under the GIL, keeps the first
 value stored.
 """
 
-from .errors import ComparisonFailure
+from .errors import ComparisonFailure, NotASubspace
 from .linalg import Matrix, Subspace, _cut, _prefix_ranks, induced_map, quotient
 
 
@@ -142,8 +148,14 @@ class SpectralSequence:
         """Key (hi, lo, below, above, n) of E^r(p, n - p): the indices p, p - r,
         p - 1 and p + r - 1, each clamped into [p_min - 1, p_max]."""
         floor, top = self.source.p_min - 1, self.source.p_max
-        indices = (p, p - r, p - 1, p + r - 1)
-        return (*(floor if i < floor else top if i > top else i for i in indices), n)
+        lo, below, above = p - r, p - 1, p + r - 1
+        return (
+            floor if p < floor else top if p > top else p,
+            floor if lo < floor else top if lo > top else lo,
+            floor if below < floor else top if below > top else below,
+            floor if above < floor else top if above > top else above,
+            n,
+        )
 
     # -- cycle subspaces ----------------------------------------------------
 
@@ -173,15 +185,19 @@ class SpectralSequence:
 
     def _compute_entry(self, key):
         hi, lo, below, above, n = key
-        den = self._cycles_at(below, lo, n)
+        num, den = self._cycles_at(hi, lo, n), self._cycles_at(below, lo, n)
         lifts = self._cycles_at(above, hi, n + 1).basis_columns
         pushed = [y for y in self.source.ambient.diff(n + 1).apply_all(lifts) if y]
-        if pushed:
+        if den == num:
+            # a zero entry: the arriving vectors need only be checked
+            if not all(map(num.contains_vector, pushed)):
+                raise NotASubspace("denominator not contained in numerator")
+        elif pushed:
             # one elimination of Z^{r-1}(p-1) and d Z^{r-1}(p+r-1) together
             den = Subspace.spanned_by_columns(
                 den.field, den.ambient_dim, den.basis_columns + tuple(pushed)
             )
-        return quotient(self._cycles_at(hi, lo, n), den)
+        return quotient(num, den)
 
     def _window(self, query, r):
         """query(r, p, q) at every position of the filtration window."""
@@ -232,17 +248,22 @@ class SpectralSequence:
         char = amb.field.characteristic
         inf = self.infinity_page()
         rows = []
-        for n in amb.degrees():
+        # a pivot table spanning B = im d_{n+1}: empty above the top degree
+        bounds = {}
+        for n in reversed(amb.degrees()):
             # copies: the engine edits them in place, after apply_all reads them
             fresh = [[dict(c) for c in cols] for cols in fc.fresh_columns(n)]
             images = [amb.diff(n).apply_all(cols) for cols in fresh]
-            spans = _prefix_ranks([amb.diff(n + 1).column_dicts(), *fresh], char)
+            spans = _prefix_ranks(fresh, char, bounds)
+            # the images of all fresh columns span im d_n, degree n - 1's B
+            bounds = {}
             # dim(ker d_n cap F_p + B) for p from p_min - 1 to p_max
-            cut = [s - r for s, r in zip(spans[1:], _prefix_ranks(images, char))]
+            cut = [s - r for s, r in zip(spans, _prefix_ranks(images, char, bounds))]
             for p, lower, upper in zip(fc.p_range, cut, cut[1:]):
                 einf, gr = inf.entry(p, n - p).dim, upper - lower
                 rows.append((n, p, einf, gr, einf == gr))
-        report = LimitReport(rows)
+        # the rows in ascending degree
+        report = LimitReport(sorted(rows))
         if strict and not report.ok:
             exc = ComparisonFailure(
                 "infinity page disagrees with graded homology\n" + report.render()

@@ -205,6 +205,8 @@ def test_zero_and_full():
     assert z.dim == 0 and z.is_zero
     assert f.dim == 4 and f.is_full
     assert f.contains(z)
+    for rows, cols in ((3, 4), (0, 2), (2, 0)):
+        assert kernel(Matrix.zeros(QQ, rows, cols)) == Subspace.full(QQ, cols)
 
 
 def test_contains_refuses_mixed_fields_and_ambients():
@@ -212,6 +214,58 @@ def test_contains_refuses_mixed_fields_and_ambients():
         Subspace.full(QQ, 2).contains(Subspace.full(PrimeField(2), 2))
     with pytest.raises(AmbientMismatch):
         Subspace.full(QQ, 2).contains(Subspace.full(QQ, 3))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), F101, PrimeField(2147483647)], ids=str)
+def test_contains_agrees_with_the_residual_rule(field, monkeypatch):
+    # a coordinate subspace answers from its pivot rows and equal subspaces
+    # from their bases: both must say what the residual says, for vectors
+    # with explicit zero entries and entries outside the ambient space too
+    rng = random.Random(f"contains:{field}")
+    cases, kinds = [], set()
+    for _ in range(80):
+        ambient = rng.randint(1, 8)
+        coordinate = rng.random() < 0.5
+        if coordinate:
+            rows = sorted(rng.sample(range(ambient), rng.randint(0, ambient)))
+            s = Subspace.coordinate(field, ambient, rows)
+        else:
+            s = rand_subspace(field, rng, ambient, rng.randint(0, ambient))
+        vecs = []
+        for _ in range(12):
+            vec = {i: field.scalar(rng.randint(-3, 3)) for i in range(ambient)}
+            vec = {i: v for i, v in vec.items() if rng.random() < 0.4}
+            if rng.random() < 0.3:
+                vec[rng.randrange(ambient)] = 0
+            if rng.random() < 0.2:
+                vec[rng.choice([-1, ambient, ambient + 2])] = rng.choice([0, 1])
+            vecs.append(vec)
+        # s's own basis vectors, the empty vector and one of explicit zeros
+        vecs += [dict(c) for c in s.basis_columns]
+        vecs += [{}, {i: 0 for i in range(ambient)}]
+        combos = [{k: field.scalar(rng.randint(-2, 2)) for k in range(s.dim)} for _ in range(2)]
+        others = [
+            rand_subspace(field, rng, ambient, rng.randint(0, ambient)),
+            Subspace.spanned_by_columns(field, ambient, s.basis_matrix().apply_all(combos)),
+            Subspace.zero(field, ambient),
+            Subspace.full(field, ambient),
+        ]
+        for vec in vecs:
+            want = not s.residual(vec)
+            assert s.contains_vector(vec) == want
+            kinds.add((coordinate, want))
+        for other in others:
+            assert s.contains(other) == all(not s.residual(c) for c in other.basis_columns)
+        cases.append(s)
+
+    def forbidden(self, vec):
+        raise AssertionError("residual called for an equal subspace")
+
+    monkeypatch.setattr(Subspace, "residual", forbidden)
+    for s in cases:
+        same = Subspace(field, s.ambient_dim, [dict(c) for c in s.basis_columns], s.pivots)
+        assert s.contains(same) and same.contains(s) and s.contains(s)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_first_reads_of_a_shared_subspace_race_safely():

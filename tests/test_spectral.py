@@ -8,7 +8,7 @@ import pytest
 
 from specseq import linalg, spectral
 from specseq.complexes import ChainComplex, ChainMap, homology_rank, shift
-from specseq.errors import ComparisonFailure
+from specseq.errors import ComparisonFailure, NotASubspace
 from specseq.fields import QQ, PrimeField
 from specseq.filtration import (
     FilteredComplex,
@@ -512,6 +512,74 @@ def test_limit_comparison_only_counts_ranks(field, monkeypatch):
                 monkeypatch.setattr(module, name, forbidden)
     for ss in sequences:
         assert ss.limit_comparison().rows
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_limit_comparison_reduces_each_boundary_once(field, monkeypatch):
+    # degree n's boundaries B = im d_{n+1} are read off the pivot table of
+    # degree n + 1's fresh images, so no differential is copied out whole
+    cases = [nested_filtration(field)]
+    for seed in range(8):
+        rng = random.Random(f"limit:{seed}")
+        fc, _ = random_filtered_complex(field, rng)
+        cases += [fc, change_of_basis(fc, rng)]
+    wanted = [reference_graded_homology(fc) for fc in cases]
+
+    def forbidden(self):
+        raise AssertionError("limit_comparison copied a differential's columns")
+
+    monkeypatch.setattr(Matrix, "column_dicts", forbidden)
+    for fc, want in zip(cases, wanted):
+        rows = SpectralSequence(fc).limit_comparison().rows
+        assert [(n, p, gr) for n, p, _, gr, _ in rows] == want
+        assert [row[:2] for row in rows] == sorted(row[:2] for row in rows)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_zero_entries_eliminate_nothing_and_keep_their_check(field, monkeypatch):
+    # where Z^{r-1}(p-1) == Z^r(p) the denominator is the numerator: the
+    # entry runs no elimination, and an arriving vector outside Z^r(p),
+    # put into the memo under the arriving key, is still refused
+    calls = []
+    real = linalg._py_rcef
+    monkeypatch.setattr(linalg, "_py_rcef", lambda cols, p: calls.append(p) or real(cols, p))
+    zero = arriving = refused = 0
+    for seed in range(8):
+        rng = random.Random(f"zero-entry:{seed}")
+        fc, _ = random_filtered_complex(field, rng)
+        for case in (fc, change_of_basis(fc, rng)):
+            ss, amb = SpectralSequence(case), case.ambient
+            for r in range(1, ss.r_star + 1):
+                for p in case.p_range:
+                    for n in amb.degrees():
+                        key = hi, lo, below, above, _ = ss._key(r, p, n)
+                        num, den = ss._cycles_at(hi, lo, n), ss._cycles_at(below, lo, n)
+                        lifts = ss._cycles_at(above, hi, n + 1).basis_columns
+                        if den != num:
+                            continue
+                        d = amb.diff(n + 1)
+                        pushed = [y for y in d.apply_all(lifts) if y]
+                        calls.clear()
+                        got = ss._compute_entry(key)
+                        assert not calls
+                        # the denominator the general route eliminates
+                        spanned = Subspace.spanned_by_columns(
+                            field, num.ambient_dim, num.basis_columns + tuple(pushed)
+                        )
+                        assert got == quotient(num, spanned) and got.dim == 0
+                        zero += 1
+                        arriving += bool(pushed)
+                        # a space at the arriving key whose d-image leaves Z^r(p)
+                        full = Subspace.full(field, amb.dim(n + 1))
+                        images = d.apply_all(full.basis_columns)
+                        if above == hi or all(map(num.contains_vector, images)):
+                            continue
+                        forged = SpectralSequence(case)
+                        forged._cycles[(above, hi, n + 1)] = full
+                        with pytest.raises(NotASubspace):
+                            forged.entry(r, p, n - p)
+                        refused += 1
+    assert zero and arriving and refused
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -7,10 +7,11 @@ are imported under their own names and then taken out of sys.modules
 again, so the next tree's import makes a second, separate set of modules;
 nothing is written to either tree.  Both trees make the round's inputs
 from the same seed and run the warm-up instances, then whole rounds
-alternate, A B, B A, A B, ..., each timed in process CPU time.  Comparing inside one process takes out most of the spread between
-fresh processes, which is wider than the few-percent effects a change to
-the library usually has.  Prints each tree's median round, the ratio B/A
-and the number of rounds in which B was lower.
+alternate, A B, B A, A B, ..., each timed in process CPU time.  Comparing
+inside one process takes out most of the spread between fresh processes,
+which is wider than the few-percent effects a change to the library usually
+has.  Prints each tree's median round with its first and third quartiles,
+the ratio B/A and the number of rounds in which B was lower.
 """
 
 import argparse
@@ -55,6 +56,13 @@ def round_cpu(workload, inputs):
     return time.process_time() - start
 
 
+def summary(times):
+    """The median of round times and their first and third quartiles as text."""
+    # one round has no spread: both quartiles are that round
+    q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+    return statistics.median(times), f"{q1:.4f}, {q3:.4f}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a")
@@ -76,11 +84,11 @@ def main(argv=None):
     for k in range(args.rounds):
         for side in (0, 1) if k % 2 == 0 else (1, 0):
             times[side].append(round_cpu(*sides[side]))
-    a, b = (statistics.median(t) for t in times)
+    (a, a_q), (b, b_q) = (summary(t) for t in times)
     wins = sum(tb < ta for ta, tb in zip(*times))
     print(
-        f"{args.workload} seed {args.seed}, {args.rounds} rounds: "
-        f"A {a:.4f} s, B {b:.4f} s (median CPU), B/A {b / a:.3f}, "
+        f"{args.workload} seed {args.seed}, {args.rounds} rounds, median CPU "
+        f"[quartiles]: A {a:.4f} [{a_q}] s, B {b:.4f} [{b_q}] s, B/A {b / a:.3f}, "
         f"B lower in {wins} of {args.rounds}"
     )
 

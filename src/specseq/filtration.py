@@ -4,10 +4,13 @@ A filtration assigns to each index p in [p_min, p_max] and each degree n a
 subspace of the ambient term, increasing in p, exhaustive at p_max, and
 closed under the differential.  Each degree of the ambient holds one table
 of its layers p_min - 1, ..., p_max, whose first entry is the zero subspace
-(shared with every layer that was not given).  A query outside the window
-clamps into the table: below it reads the zero entry, above it the top
-layer, which validate checks is the full term.  That keeps boundary
-arithmetic in the spectral sequence uniform.
+(shared with every layer that was not given).  A layer equal to the one
+below it is that same object, and a second table per degree holds, for each
+slot, the least index whose layer is equal: the spectral sequence keys its
+memo tables on those indices, so equal layers share their work.  A query
+outside the window clamps into the table: below it reads the zero entry,
+above it the top layer, which validate checks is the full term.  That keeps
+boundary arithmetic in the spectral sequence uniform.
 """
 
 from .complexes import _blocks, _kron, hom_complex, parse_complex, render_complex, tensor
@@ -18,7 +21,7 @@ from .simplicial import _face_positions, reduced_chain_complex
 
 
 class FilteredComplex:
-    __slots__ = ("ambient", "p_min", "p_max", "_table", "_outside")
+    __slots__ = ("ambient", "p_min", "p_max", "_table", "_first", "_outside", "_first_outside")
 
     def __init__(self, ambient, layers, validate=True):
         self.ambient = ambient
@@ -32,6 +35,7 @@ class FilteredComplex:
         # a degree outside the ambient is k^0, answered by one zero space
         self._outside = (Subspace.zero(field, 0),)
         size = self.p_max - self.p_min + 2
+        self._first_outside = (self.p_min - 1,) * size
         table = {n: [Subspace.zero(field, ambient.dim(n))] * size for n in ambient.degrees()}
         for p, per_degree in layers.items():
             for n, sub in per_degree.items():
@@ -41,6 +45,18 @@ class FilteredComplex:
                     raise ValueError(f"layer ({p}, {n}) has the wrong ambient dimension")
                 if n in table:
                     table[n][p - self.p_min + 1] = sub
+        # a layer equal to the one below it becomes that object, and _first[n]
+        # holds, per slot, the least index whose layer is equal
+        self._first = {}
+        for n, column in table.items():
+            least = [self.p_min - 1]
+            for k in range(1, size):
+                if column[k] == column[k - 1]:
+                    column[k] = column[k - 1]
+                    least.append(least[-1])
+                else:
+                    least.append(self.p_min - 1 + k)
+            self._first[n] = tuple(least)
         self._table = {n: tuple(column) for n, column in table.items()}
         if validate:
             self.validate()

@@ -145,8 +145,20 @@ class Matrix:
 
     @classmethod
     def from_column_dicts(cls, field, rows, columns):
-        entries = {(i, j): val for j, col in enumerate(columns) for i, val in col.items()}
-        return cls(field, rows, len(columns), entries)
+        """The matrix of columns given as {row: value} dicts, which it copies."""
+        if rows < 0:
+            raise ValueError("negative matrix dimensions")
+        scalar, cols, out = field.scalar, len(columns), []
+        for j, col in enumerate(columns):
+            kept = {}
+            for i, val in col.items():
+                val = scalar(val)
+                if not 0 <= i < rows:
+                    raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
+                if val:
+                    kept[i] = val
+            out.append(kept)
+        return cls._of_columns(field, rows, out)
 
     @property
     def entries(self):

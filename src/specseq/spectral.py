@@ -2,21 +2,29 @@
 
 Everything is lazy: constructing a SpectralSequence performs no linear
 algebra, and all cycle subspaces, page entries, and page maps are memoized
-on first use.  Every query keys through one key of E^r(p, q), n = p + q:
+on first use.  Every query keys through one key of E^r(p, q), n = p + q,
+which names layers, not indices:
 
-    (hi, lo, below, above, n) = the indices p, p - r, p - 1, p + r - 1,
-                                each clamped into [p_min - 1, p_max].
+    (hi, lo, below, above, n) = for the indices p, p - r, p - 1, p + r - 1,
+                                each clamped into [p_min - 1, p_max], the
+                                least index of an equal layer in degree n,
+                                n - 1, n and n + 1 respectively.
 
 Clamping loses nothing, as layers below the window are zero and layers above
-it full: FilteredComplex.layer clamps by the same rule.  The cycle space
+it full: FilteredComplex.layer clamps by the same rule.  Nor does taking the
+least equal index, read off the filtration's table of them.  Equal layers
+are one object, so each key names the very layers the indices do, and
+queries at indices whose layers repeat share every value.  The cycle space
 
     Z^r(p, q) = layer(p, n) cap d^{-1}(layer(p - r, n - 1))
 
-is the space (hi, lo, n).  Where lo >= hi (r <= 0, or both indices past one
-end of the window) it is the layer itself, read off the filtration.  Every
-other Z^r is linalg._cut of layer(hi, n) by d into layer(lo, n - 1): one
-elimination, on coordinate layers and others alike.  Page entries are the
-standard subquotients
+is the space (hi, lo, n).  Where lo >= hi (r <= 0, both indices past one end
+of the window, or no layer of degree n - 1 below index hi equal to
+layer(p - r, n - 1)) it is the layer itself: layers are nested and d maps
+layer(hi, n) into layer(hi, n - 1), which lies in layer(lo, n - 1).  Every other Z^r is
+linalg._cut of layer(hi, n) by d into layer(lo, n - 1): one elimination, on
+coordinate layers and others alike.  Page entries are the standard
+subquotients
 
     E^r(p, q) = Z^r(p, q) / (Z^{r-1}(p-1, q+1) + d Z^{r-1}(p+r-1, q-r+2)),
 
@@ -31,14 +39,13 @@ in the numerator, raising NotASubspace as quotient does.  Its
 representatives are the numerator's basis columns at the pivots outside the
 denominator's, selected with no elimination.
 Stabilization at each position falls out of the key, not out of r_star:
-E^r(p, q) is one value for all r >= max(p - p_min + 1, p_max - p + 1).
+E^r(p, q) is one value for all r >= max(p - p_min + 1, p_max - p + 1), and
+from a lower r where layers repeat.
 
-A page map out of p <= p_max is memoized on the key of its source entry
-alone.  Two such queries share that key only where their clamped p and
-clamped p - r agree: both columns below the window, or one column with
-p - r < p_min at both.  Either way the target is zero and the map is the
-same 0 x dim matrix.  Above p_max the source is zero at every r but the
-targets E^r(p - r, .) differ, so such a map is the dim x 0 zero matrix of
+A page map out of p <= p_max is memoized on the pair of its source and
+target entry keys: one source key can meet targets that differ, as the
+target also reads layer(p - 2r, n - 2), which the source key does not name.
+Above p_max the source is zero, so such a map is the dim x 0 zero matrix of
 its target, with no memo and no induced map.  A Page or PageMap holds the
 filtration window and raises KeyError outside it; SpectralSequence.entry
 answers every position.
@@ -145,15 +152,20 @@ class SpectralSequence:
         return value
 
     def _key(self, r, p, n):
-        """Key (hi, lo, below, above, n) of E^r(p, n - p): the indices p, p - r,
-        p - 1 and p + r - 1, each clamped into [p_min - 1, p_max]."""
-        floor, top = self.source.p_min - 1, self.source.p_max
-        lo, below, above = p - r, p - 1, p + r - 1
+        """Key (hi, lo, below, above, n) of E^r(p, n - p): for the indices p,
+        p - r, p - 1 and p + r - 1, each clamped into [p_min - 1, p_max], the
+        least index of an equal layer, in degrees n, n - 1, n and n + 1."""
+        fc = self.source
+        first, outside = fc._first, fc._first_outside
+        top = len(outside) - 1
+        k = p - fc.p_min + 1
+        lo, below, above = k - r, k - 1, k + r - 1
+        here = first.get(n, outside)
         return (
-            floor if p < floor else top if p > top else p,
-            floor if lo < floor else top if lo > top else lo,
-            floor if below < floor else top if below > top else below,
-            floor if above < floor else top if above > top else above,
+            here[0 if k < 0 else top if k > top else k],
+            first.get(n - 1, outside)[0 if lo < 0 else top if lo > top else lo],
+            here[0 if below < 0 else top if below > top else below],
+            first.get(n + 1, outside)[0 if above < 0 else top if above > top else above],
             n,
         )
 
@@ -224,7 +236,7 @@ class SpectralSequence:
             rows = self._entry_at(target).dim
             return Matrix.zeros(self.source.ambient.field, rows, 0)
         key = self._key(r, p, n)
-        return self._memo(self._diffs, key, self._compute_diff, key, target)
+        return self._memo(self._diffs, (key, target), self._compute_diff, key, target)
 
     def _compute_diff(self, src_key, tgt_key):
         return induced_map(

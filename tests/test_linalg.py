@@ -720,6 +720,55 @@ def test_machine_matrix_round_trip():
             assert Matrix.from_column_dicts(field, m.rows, m.columns) == m
 
 
+def test_from_column_dicts_matches_the_entries_constructor():
+    # FieldElement, Fraction and int values, explicit zeros and rows outside
+    # the matrix: the same matrix, or the same error, as Matrix(entries), and
+    # the caller's dicts are copied, not adopted
+    rng = random.Random(89)
+
+    def outcome(build):
+        try:
+            return build()
+        except (IndexError, TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    for field in (QQ, PrimeField(2), F101, PrimeField(2147483647)):
+        zeros = (0, Fraction(0), field.element(0))
+        outcomes = set()
+        for _ in range(150):
+            rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+            columns = []
+            for _ in range(cols):
+                col = {}
+                for i in rng.sample(range(-1, rows + 1), rng.randint(0, rows)):
+                    kind = rng.randrange(4)
+                    if kind == 0:
+                        col[i] = field.random_element(rng)
+                    elif kind == 1:
+                        col[i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    elif kind == 2:
+                        col[i] = rng.choice(zeros)
+                    else:
+                        col[i] = rng.randint(-9, 9)
+                columns.append(col)
+            before = [dict(col) for col in columns]
+            entries = {(i, j): v for j, col in enumerate(columns) for i, v in col.items()}
+            got = outcome(lambda: Matrix.from_column_dicts(field, rows, columns))
+            want = outcome(lambda: Matrix(field, rows, cols, entries))
+            assert columns == before
+            if isinstance(want, Matrix):
+                assert got == want and got.columns == want.columns
+                assert all(a is not b for a, b in zip(got.columns, columns))
+                outcomes.add("matrix")
+            else:
+                assert got == want
+                outcomes.add(want[0])
+        assert "matrix" in outcomes and IndexError in outcomes
+        assert field == QQ or TypeError in outcomes
+    with pytest.raises(ValueError, match="negative matrix dimensions"):
+        Matrix.from_column_dicts(QQ, -1, [])
+
+
 @settings(max_examples=60)
 @given(
     st.lists(

@@ -12,6 +12,7 @@ from specseq.errors import ComparisonFailure, NotASubspace
 from specseq.fields import QQ, PrimeField
 from specseq.filtration import (
     FilteredComplex,
+    from_basis_levels,
     from_chain_maps,
     from_simplicial,
     hom_filtration,
@@ -656,12 +657,12 @@ def test_one_elimination_per_cycle_space_preimage_and_intersect(field, monkeypat
 @pytest.mark.parametrize("field", FIELDS[:3], ids=str)
 def test_memo_keys_are_sound(field, monkeypatch):
     # entries are memoized on the cycle spaces they are built from and page
-    # maps out of p <= p_max on their source entry: queried from r_star + 1
-    # down on one SpectralSequence, they must equal those of a fresh
-    # SpectralSequence and the map induced between the entries, and an entry
-    # is one object for all r >= max(p - p_min + 1, p_max - p + 1).  Columns
-    # up to p_max + r_star + 1 are queried: above p_max a source key repeats
-    # over targets of different dimension.  Entries are queried down to
+    # maps out of p <= p_max on their source and target entries: queried from
+    # r_star + 1 down on one SpectralSequence, they must equal those of a
+    # fresh SpectralSequence and the map induced between the entries, and an
+    # entry is one object for all r >= max(p - p_min + 1, p_max - p + 1).
+    # Columns up to p_max + r_star + 1 are queried: above p_max a source key
+    # repeats over targets of different dimension.  Entries are queried down to
     # r = 0, where no differential cuts a layer: Z^r(p, q) is layer(p) for
     # r <= 0 and E^0(p, q) is layer(p) / layer(p - 1), on both sides of the
     # window too.
@@ -676,7 +677,7 @@ def test_memo_keys_are_sound(field, monkeypatch):
     monkeypatch.setattr(
         SpectralSequence,
         "_compute_diff",
-        lambda ss, src, tgt: calls.append((ss, "diff", src)) or real_diff(ss, src, tgt),
+        lambda ss, src, tgt: calls.append((ss, "diff", (src, tgt))) or real_diff(ss, src, tgt),
     )
     for seed in range(3):
         rng = random.Random(seed)
@@ -689,7 +690,7 @@ def test_memo_keys_are_sound(field, monkeypatch):
                 for p in range(fc.p_min - 2, fc.p_max + r_star + 2)
                 for n in fc.ambient.degrees()
             ]
-            sources = set()
+            pairs = set()
             for r in range(r_star + 1, -1, -1):
                 for p, q in positions:
                     assert ss.entry(r, p, q) == SpectralSequence(fc).entry(r, p, q)
@@ -704,7 +705,7 @@ def test_memo_keys_are_sound(field, monkeypatch):
                     target = ss.entry(r, p - r, q + r - 1)
                     assert got == induced_map(d, ss.entry(r, p, q), target)
                     if p <= fc.p_max:
-                        sources.add(ss._key(r, p, p + q))
+                        pairs.add((ss._key(r, p, p + q), ss._key(r, p - r, p + q - 1)))
             for p, q in positions:
                 low = max(p - fc.p_min + 1, fc.p_max - p + 1)
                 for r in range(low + 1, r_star + 2):
@@ -713,5 +714,85 @@ def test_memo_keys_are_sound(field, monkeypatch):
                 keys = [key for owner, k, key in calls if owner is ss and k == kind]
                 assert len(keys) == len(set(keys))
                 assert len(keys) < len(positions) * (r_star + 1)
-            # one induced map per distinct source entry key
-            assert set(keys) == sources
+            # one induced map per distinct (source key, target key) pair
+            assert set(keys) == pairs
+
+
+def _frozen(sub):
+    return sub.pivots, tuple(tuple(sorted(col.items())) for col in sub.basis_columns)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_equal_layers_share_their_work(field, monkeypatch):
+    # equal adjacent layers are one object, and every query keys on the
+    # layers it reads, not on their indices: each cycle space is cut once
+    # per distinct pair of layers, and every value equals one built without
+    # the memo from the layers themselves
+    cut_pairs = []
+    real = SpectralSequence._compute_cycles
+
+    def spy(ss, hi, lo, n):
+        fc = ss.source
+        cut_pairs.append((n, _frozen(fc.layer(hi, n)), _frozen(fc.layer(lo, n - 1))))
+        return real(ss, hi, lo, n)
+
+    monkeypatch.setattr(SpectralSequence, "_compute_cycles", spy)
+    # degree 0 has no basis vector at levels 1 and 2
+    gap = ChainComplex(
+        field, {0: ("a", "b"), 1: ("e", "f")}, {1: Matrix.identity(field, 2)}
+    )
+    cases = [from_basis_levels(gap, {0: [0, 3], 1: [1, 3]})]
+    for seed in range(3):
+        rng = random.Random(f"equal-layers:{seed}")
+        base, _ = random_filtered_complex(field, rng)
+        cases += [base, change_of_basis(base, rng)]
+    shared = 0
+    for fc in cases:
+        amb = fc.ambient
+        for n in amb.degrees():
+            for p in fc.p_range:
+                if fc.layer(p, n) == fc.layer(p - 1, n):
+                    assert fc.layer(p, n) is fc.layer(p - 1, n)
+                    shared += 1
+
+        def layers(r, p, n):
+            return n, fc.layer(p, n), fc.layer(p - r, n - 1)
+
+        def cycles(r, p, n):
+            _, top, w = layers(r, p, n)
+            return linalg._cut(top, amb.diff(n), w)
+
+        def entry(r, p, n):
+            arriving = apply_to_subspace(amb.diff(n + 1), cycles(r - 1, p + r - 1, n + 1))
+            den = subspace_sum(cycles(r - 1, p - 1, n), arriving)
+            return quotient(cycles(r, p, n), den)
+
+        def read(r, p, n):
+            # the pairs of layers E^r(p, n - p) is built from
+            return [layers(r, p, n), layers(r - 1, p - 1, n), layers(r - 1, p + r - 1, n + 1)]
+
+        ss = SpectralSequence(fc)
+        cut_pairs.clear()
+        seen = []
+        for r in range(ss.r_star + 1, -1, -1):
+            for p in range(fc.p_min - 2, fc.p_max + 3):
+                for n in amb.degrees():
+                    assert ss.cycles(r, p, n - p) == cycles(r, p, n)
+                    assert ss.entry(r, p, n - p) == entry(r, p, n)
+                    seen += read(r, p, n)
+                    if r == 0:
+                        continue
+                    want = induced_map(amb.diff(n), entry(r, p, n), entry(r, p - r, n - 1))
+                    assert ss.differential(r, p, n - p) == want
+                    if p <= fc.p_max:
+                        seen += read(r, p - r, n - 1)
+        # a pair must be cut where d moves some of its layer out of the other
+        needed = {
+            (n, _frozen(top), _frozen(w))
+            for n, top, w in seen
+            if not all(map(w.contains_vector, amb.diff(n).apply_all(top.basis_columns)))
+        }
+        queried = {(n, _frozen(top), _frozen(w)) for n, top, w in seen}
+        assert len(cut_pairs) == len(set(cut_pairs))
+        assert needed <= set(cut_pairs) <= queried
+    assert shared

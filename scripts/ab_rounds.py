@@ -2,6 +2,14 @@
 
 Usage: python3 scripts/ab_rounds.py TREE_A TREE_B WORKLOAD --rounds N [--seed S]
 
+WORKLOAD is a workload of perfbench/workloads.py or `graded-scale`: the F101
+complete intersections of three random squared linear forms in x, y, z, at
+resolution lengths 4 and 5 and factors 0 and 1, run through `cli.run` with
+the graded-cli queries and made by each tree's own
+`workloads.graded_relations` and `graded_scenario`.  On `graded-scale` the
+two trees' exit codes and stdout bytes are compared in every round, and a
+difference stops the run with an error.
+
 Each tree's src/specseq and perfbench/workloads.py (with its oracle.py)
 are imported under their own names and then taken out of sys.modules
 again, so the next tree's import makes a second, separate set of modules;
@@ -16,12 +24,40 @@ the ratio B/A and the number of rounds in which B was lower.
 
 import argparse
 import gc
+import io
+import random
 import statistics
 import sys
 import time
 from pathlib import Path
 
 OWN_MODULES = ("specseq", "workloads", "oracle")
+SCALE = "graded-scale"
+SCALE_CASES = ((4, 0), (4, 1), (5, 0), (5, 1))  # (resolution length, factor)
+
+
+class GradedScale:
+    """The graded-scale set on one tree: its scenarios are texts, and an
+    instance returns its exit code and stdout."""
+
+    def __init__(self, workloads):
+        self.workloads = workloads
+
+    def make_inputs(self, seed):
+        texts = []
+        for k, (length, factor) in enumerate(SCALE_CASES):
+            rng = random.Random(f"{seed}:{SCALE}:{k}")
+            relations = self.workloads.graded_relations("complete-intersection", 3, rng)
+            texts.append(self.workloads.graded_scenario(3, relations, length, factor))
+        return texts
+
+    def warm_up(self, texts):
+        relations = self.workloads.graded_relations("square-zero", 2, random.Random(SCALE))
+        return [self.workloads.graded_scenario(2, relations, 2, 0)]
+
+    def run(self, text):
+        out = io.StringIO()
+        return self.workloads.cli.run(text, out=out), out.getvalue()
 
 
 def load_workload(tree, name):
@@ -42,18 +78,20 @@ def load_workload(tree, name):
     finally:
         del sys.path[: len(paths)]
         detach()
+    if name == SCALE:
+        return GradedScale(workloads)
     if name not in workloads.WORKLOADS:
         raise SystemExit(f"error: no workload {name!r} in {tree}")
     return workloads.WORKLOADS[name]
 
 
 def round_cpu(workload, inputs):
-    """Process CPU seconds of one round of the workload's instances."""
+    """Process CPU seconds of one round of the workload's instances, and
+    what the instances returned."""
     gc.collect()
     start = time.process_time()
-    for spec in inputs:
-        workload.run(spec)
-    return time.process_time() - start
+    records = [workload.run(spec) for spec in inputs]
+    return time.process_time() - start, records
 
 
 def summary(times):
@@ -82,8 +120,16 @@ def main(argv=None):
         sides.append((workload, inputs))
     times = ([], [])
     for k in range(args.rounds):
+        records = [None, None]
         for side in (0, 1) if k % 2 == 0 else (1, 0):
-            times[side].append(round_cpu(*sides[side]))
+            seconds, records[side] = round_cpu(*sides[side])
+            times[side].append(seconds)
+        for i, (a, b) in enumerate(zip(*records)):
+            if args.workload == SCALE and a != b:
+                raise SystemExit(
+                    f"error: round {k + 1}, scenario {i}: exit codes {a[0]} and {b[0]}, "
+                    f"stdout {'equal' if a[1] == b[1] else 'different'}"
+                )
     (a, a_q), (b, b_q) = (summary(t) for t in times)
     wins = sum(tb < ta for ta, tb in zip(*times))
     print(

@@ -226,13 +226,19 @@ BUILDS = {
 
 
 def build_filtration(scenario, field):
-    """Read the blocks of the scenario's build section and build their filtration."""
+    """Read the blocks of the scenario's build section and build their filtration.
+    A ParseError that names no line of its own names the end-build line."""
     readers, build, _ = BUILDS[scenario.build_kind]
     lines = scenario.build_lines.copy()
-    blocks = [read(lines) for read in readers]
-    if not lines.done:
-        raise lines.next(None).unexpected()
-    return build(field, scenario.build_opts, *blocks)
+    try:
+        blocks = [read(lines) for read in readers]
+        if not lines.done:
+            raise lines.next(None).unexpected()
+        return build(field, scenario.build_opts, *blocks)
+    except ParseError as exc:
+        if exc.line is None:
+            raise ParseError(str(exc), line=lines.end) from None
+        raise
 
 
 def _degree_table(fc, n):

@@ -23,7 +23,7 @@ from .simplicial import _face_positions, reduced_chain_complex
 class FilteredComplex:
     __slots__ = ("ambient", "p_min", "p_max", "_table", "_first", "_outside", "_first_outside")
 
-    def __init__(self, ambient, layers, validate=True):
+    def __init__(self, ambient, layers):
         self.ambient = ambient
         if not layers:
             raise ValueError("a filtration needs at least one level")
@@ -58,8 +58,7 @@ class FilteredComplex:
                     least.append(self.p_min - 1 + k)
             self._first[n] = tuple(least)
         self._table = {n: tuple(column) for n, column in table.items()}
-        if validate:
-            self.validate()
+        self.validate()
 
     @property
     def p_range(self):
@@ -171,7 +170,7 @@ def from_simplicial(complexes, field, reduced=True):
 def truncation_filtration(c):
     """Brutal truncation from above: layer p keeps the terms in degrees <= p."""
     if c.is_zero:
-        return FilteredComplex(c, {0: {}}, validate=False)
+        return FilteredComplex(c, {0: {}})
     return from_basis_levels(c, {n: [n] * c.dim(n) for n in c.degrees()})
 
 
@@ -224,21 +223,24 @@ def hom_filtration(c, fd):
 
 
 def from_basis_levels(ambient, levels):
-    """Coordinate filtration: basis vector k of term n enters at levels[n][k]."""
+    """Coordinate filtration: basis vector k of term n enters at levels[n][k].
+    The layers that hold it share one unit column {k: 1}."""
     field = ambient.field
     all_levels = [lv for per in levels.values() for lv in per]
     if not all_levels:
         raise ValueError("no basis vectors to filter")
+    units = {}
+    for n in ambient.degrees():
+        lvls = levels.get(n, [])
+        if len(lvls) != ambient.dim(n):
+            raise ValueError(f"need one level per basis vector in degree {n}")
+        units[n] = [(lv, {k: 1}) for k, lv in enumerate(lvls)]
     layers = {}
     for p in range(min(all_levels), max(all_levels) + 1):
-        per = {}
-        for n in ambient.degrees():
-            lvls = levels.get(n, [])
-            if len(lvls) != ambient.dim(n):
-                raise ValueError(f"need one level per basis vector in degree {n}")
-            rows = [k for k, lv in enumerate(lvls) if lv <= p]
-            per[n] = Subspace.coordinate(field, ambient.dim(n), rows)
-        layers[p] = per
+        layers[p] = {}
+        for n, unit in units.items():
+            kept = {k: col for k, (lv, col) in enumerate(unit) if lv <= p}
+            layers[p][n] = Subspace(field, ambient.dim(n), kept.values(), kept)
     return FilteredComplex(ambient, layers)
 
 

@@ -13,8 +13,9 @@ Monomials are exponent tuples ordered by descending lexicographic order
 within each degree, so the leading term of a reduced polynomial is its
 first monomial.
 
-The one product is `GradedAlgebra.times`: module maps expand through it,
-and the resolution gets m K from the module maps "multiply by x_i".
+The one product is `GradedAlgebra.times`.  A module map is its columns, as a
+`Matrix` is, and `GradedModuleMap.images`, the one expansion, serves
+`expanded_matrix` and `expand`; the resolution gets m K from the maps "multiply by x_i".
 """
 
 from collections import Counter, namedtuple
@@ -370,22 +371,16 @@ class GradedFreeModule:
         return f"<GradedFreeModule {sig or '0'}>"
 
 
-def _by_source(f):
-    """The entries of a module map grouped by source generator: {b: [(a, poly)]}."""
-    groups = {}
-    for (a, b), poly in f.entries.items():
-        groups.setdefault(b, []).append((a, poly))
-    return groups
-
-
 class GradedModuleMap:
-    """Module map given by homogeneous polynomial entries.
+    """Module map held as its columns, the layout of `linalg.Matrix`.
 
-    entries[(a, b)] is the coefficient of target generator a in the image
-    of source generator b; its degree must equal the generator degree gap.
+    columns[b] lists the pairs (a, entry) of source generator b, entry the
+    reduced coefficient of target generator a in the image of b; its degree
+    must equal the generator degree gap.  `entries`, keyed (a, b), is built
+    from and read back as a view of the columns.
     """
 
-    __slots__ = ("source", "target", "entries", "_expanded")
+    __slots__ = ("source", "target", "columns")
 
     def __init__(self, source, target, entries):
         if source.algebra is not target.algebra:
@@ -393,8 +388,11 @@ class GradedModuleMap:
         self.source = source
         self.target = target
         alg = source.algebra
-        cleaned = {}
+        height, width = target.rank, source.rank
+        columns = [[] for _ in range(width)]
         for (a, b), poly in entries.items():
+            if not (0 <= a < height and 0 <= b < width):
+                raise IndexError(f"entry ({a}, {b}) outside {height}x{width}")
             reduced = alg.reduce(_clean_poly(alg.field, poly))
             if not reduced:
                 continue
@@ -404,29 +402,33 @@ class GradedModuleMap:
                     f"entry ({a}, {b}) has degree {poly_degree(reduced)}, "
                     f"expected {want}"
                 )
-            cleaned[(a, b)] = reduced
-        self.entries = cleaned
-        self._expanded = {}
+            columns[b].append((a, reduced))
+        self.columns = columns
+
+    @property
+    def entries(self):
+        """{(a, b): entry} of the nonzero entries, a new dict on each read."""
+        return {(a, b): poly for b, col in enumerate(self.columns) for a, poly in col}
+
+    def images(self, basis, rows):
+        """The column of each source basis vector (b, monomial) in basis, as
+        a {row: scalar} dict on the target positions rows[(a, monomial)]."""
+        times = self.source.algebra.times
+        out = []
+        for b, mono in basis:
+            col = {}
+            for a, poly in self.columns[b]:
+                for m2, c in times(poly, mono).items():
+                    col[rows[(a, m2)]] = c
+            out.append(col)
+        return out
 
     def expanded_matrix(self, d):
         """The degree-d piece of the map as a plain matrix."""
-        cached = self._expanded.get(d)
-        if cached is not None:
-            return cached
-        alg = self.source.algebra
-        src = self.source.piece_basis(d)
-        tgt_pos = {lab: k for k, lab in enumerate(self.target.piece_basis(d))}
-        by_src_gen = _by_source(self)
-        columns = []
-        for b, mono in src:
-            col = {}
-            for a, poly in by_src_gen.get(b, ()):
-                for m2, c in alg.times(poly, mono).items():
-                    col[tgt_pos[(a, m2)]] = c
-            columns.append(col)
-        m = Matrix.from_column_dicts(alg.field, len(tgt_pos), columns)
-        self._expanded[d] = m
-        return m
+        target = self.target.piece_basis(d)
+        rows = {pair: i for i, pair in enumerate(target)}
+        columns = self.images(self.source.piece_basis(d), rows)
+        return Matrix.from_column_dicts(self.source.algebra.field, len(target), columns)
 
     def is_minimal(self):
         """True when no entry has a degree-zero (unit) component."""
@@ -577,8 +579,6 @@ def tensor_complex(cf, ck):
                     labels.append((i, mf.gen_labels[a], mk.gen_labels[b]))
         positions[n] = pos
         modules[n] = GradedFreeModule(algebra, tuple(degs), tuple(labels))
-    df_by_src = {i: _by_source(m) for i, m in cf.maps.items()}
-    dk_by_src = {j: _by_source(m) for j, m in ck.maps.items()}
     maps = {}
     for n in sorted(modules):
         if n - 1 not in positions:
@@ -586,10 +586,11 @@ def tensor_complex(cf, ck):
         prev = positions[n - 1]
         entries = {}
         for (i, a, b), src in positions[n].items():
-            for a2, poly in df_by_src.get(i, {}).get(a, ()):
+            df, dk = cf.maps.get(i), ck.maps.get(n - i)
+            for a2, poly in df.columns[a] if df else ():
                 entries[(prev[(i - 1, a2, b)], src)] = dict(poly)
             sign = -1 if i % 2 else 1
-            for b2, poly in dk_by_src.get(n - i, {}).get(b, ()):
+            for b2, poly in dk.columns[b] if dk else ():
                 entries[(prev[(i, a, b2)], src)] = {m: sign * c for m, c in poly.items()}
         if entries:
             maps[n] = GradedModuleMap(modules[n], modules[n - 1], entries)
@@ -607,34 +608,24 @@ def expand(gc):
     the assembled differentials are block diagonal over internal degree.
     """
     field = gc.algebra.field
-    labels = {}
-    offsets = {}
+    bases, labels = {}, {}
     for n in range(gc.lo, gc.hi + 1):
         mod = gc.module(n)
-        labs = []
-        offs = {}
+        basis, labs = [], []
         for d in mod.degree_span():
             piece = mod.piece_basis(d)
-            if not piece:
-                continue
-            offs[d] = len(labs)
-            for j, mono in piece:
-                labs.append(ExpLabel(mod.gen_labels[j], mono, d))
+            basis += piece
+            labs += [ExpLabel(mod.gen_labels[j], mono, d) for j, mono in piece]
+        bases[n] = basis
         labels[n] = tuple(labs)
-        offsets[n] = offs
     diffs = {}
     for n in range(gc.lo + 1, gc.hi + 1):
         f = gc.map(n)
         if f is None:
             continue
-        columns = [{} for _ in labels[n]]
-        for d, col_base in offsets[n].items():
-            row_base = offsets.get(n - 1, {}).get(d)
-            if row_base is None:
-                continue
-            for j, col in enumerate(f.expanded_matrix(d).columns, col_base):
-                columns[j] = {row_base + i: c for i, c in col.items()}
-        diffs[n] = Matrix.from_column_dicts(field, len(labels.get(n - 1, ())), columns)
+        # a map keeps internal degree, and (generator, monomial) is unique in a term
+        rows = {pair: i for i, pair in enumerate(bases[n - 1])}
+        diffs[n] = Matrix.from_column_dicts(field, len(rows), f.images(bases[n], rows))
     return ChainComplex(field, labels, diffs)
 
 

@@ -412,6 +412,61 @@ def test_graded_directives_are_refused_at_their_line(good, bad, message, tmp_pat
     assert (code, err) == (2, f"parse error: line {lineno}: {message}\n")
 
 
+# (scenario, the line an error is reported at, at its last occurrence,
+# message): errors of a whole section name its closing line, and a missing
+# section the last line of the file
+@pytest.mark.parametrize(
+    "text, at, message",
+    [
+        (
+            "field QQ\nbuild simplicial\nend-build\n" + QUERIES,
+            "end-build",
+            "build simplicial lists no complexes",
+        ),
+        (
+            "field QQ\n" + GRADED.replace("vars x\n", "") + QUERIES,
+            "end-build",
+            "build graded needs a vars line",
+        ),
+        (
+            "field QQ\n" + GRADED.replace("relation x^2\n", "") + QUERIES,
+            "end-build",
+            "build graded needs at least one relation",
+        ),
+        (
+            "field QQ\n" + GRADED.replace("length 1\n", "") + QUERIES,
+            "end-build",
+            "build graded needs a length line",
+        ),
+        (
+            "field F7\n" + TRUNCATION + QUERIES,
+            "end-build",
+            "scenario names field F7 but the block is over QQ",
+        ),
+        ("field QQ\n" + SIMPLICIAL * 2 + QUERIES, "build simplicial", "more than one build section"),
+        ("field QQ\n" + SIMPLICIAL + QUERIES * 2, "queries", "more than one queries section"),
+        ("field QQ\n" + SIMPLICIAL, "end-build", "scenario has no queries section"),
+        ("field QQ\n" + GRADED.replace("vars x", "vars") + QUERIES, "vars", "vars names no variables"),
+    ],
+    ids=[
+        "no-complexes",
+        "no-vars",
+        "no-relation",
+        "no-length",
+        "field-mismatch",
+        "two-builds",
+        "two-queries",
+        "no-queries",
+        "empty-vars",
+    ],
+)
+def test_section_errors_name_a_line(text, at, message, tmp_path, capsys):
+    lines = text.splitlines()
+    lineno = len(lines) - lines[::-1].index(at)
+    code, err = run_main(tmp_path, text, capsys)
+    assert (code, err) == (2, f"parse error: line {lineno}: {message}\n")
+
+
 @pytest.mark.parametrize(
     "good, bad",
     [

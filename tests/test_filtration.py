@@ -83,6 +83,21 @@ def test_from_basis_levels_requires_matching_lengths():
         from_basis_levels(c, {0: [0], 1: [0]})
 
 
+@pytest.mark.parametrize("field", (QQ, F101), ids=str)
+def test_from_basis_levels_shares_one_unit_column_per_basis_vector(field):
+    rng = random.Random(59)
+    for _ in range(10):
+        fc, levels = random_filtered_complex(field, rng)
+        for n, lvls in levels.items():
+            held = {}
+            for p in range(fc.p_min - 1, fc.p_max + 1):
+                rows = [k for k, lv in enumerate(lvls) if lv <= p]
+                layer = fc.layer(p, n)
+                assert layer == Subspace.coordinate(field, fc.ambient.dim(n), rows)
+                for k, col in zip(rows, layer.basis_columns):
+                    assert held.setdefault(k, col) is col
+
+
 def test_validate_rejects_unclosed_layers():
     c = interval()
     # span(a) alone is not closed: d(ab) = b - a needs both vertices
@@ -270,7 +285,7 @@ def test_truncation_is_the_coordinate_filtration_by_degree():
             p: {n: (full if n <= p else zero)(QQ, c.dim(n)) for n in c.degrees()}
             for p in range(c.lo, c.hi + 1)
         }
-        assert truncation_filtration(c) == FilteredComplex(c, hand_built, validate=False)
+        assert truncation_filtration(c) == FilteredComplex(c, hand_built)
     empty = truncation_filtration(ChainComplex(QQ, {}))
     assert (empty.p_min, empty.p_max) == (0, 0)
     assert empty.layer(0, 0).is_zero and empty.layer(0, 0).ambient_dim == 0

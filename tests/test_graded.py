@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from specseq.complexes import homology, homology_rank
+from specseq.complexes import ChainComplex, homology, homology_rank
 from specseq.errors import NotFiniteDimensional, ParseError
 from specseq.fields import QQ, PrimeField
 from specseq.graded import (
+    ExpLabel,
     GradedFreeModule,
     GradedModuleMap,
     build_quotient_algebra,
@@ -25,6 +26,7 @@ from specseq.graded import (
     render_poly,
     tensor_complex,
 )
+from specseq.linalg import Matrix
 from specseq.spectral import SpectralSequence
 
 F101 = PrimeField(101)
@@ -207,6 +209,72 @@ def test_graded_map_rejects_inhomogeneous_entries():
         GradedModuleMap(
             src, tgt, {(0, 0): parse_poly(algebra.field, 2, "1", names=["x", "y"])}
         )
+
+
+@pytest.mark.parametrize("key", [(0, -1), (-1, 0), (0, 1), (1, 0)])
+def test_graded_map_rejects_entries_outside_its_generators(key):
+    algebra = square_zero_algebra()
+    src = GradedFreeModule(algebra, (1,))
+    tgt = GradedFreeModule(algebra, (0,))
+    x = parse_poly(algebra.field, 2, "x", names=["x", "y"])
+    with pytest.raises(IndexError, match="outside 1x1"):
+        GradedModuleMap(src, tgt, {key: x})
+
+
+def expand_by_degree(gc):
+    """expand assembled from the blocks expanded_matrix(d) at their degree offsets."""
+    labels, offsets = {}, {}
+    for n in range(gc.lo, gc.hi + 1):
+        mod = gc.module(n)
+        labs, offsets[n] = [], {}
+        for d in mod.degree_span():
+            offsets[n][d] = len(labs)
+            labs += [ExpLabel(mod.gen_labels[j], mono, d) for j, mono in mod.piece_basis(d)]
+        labels[n] = labs
+    diffs = {}
+    for n in range(gc.lo + 1, gc.hi + 1):
+        f = gc.map(n)
+        if f is None:
+            continue
+        entries = {}
+        for d, col_base in offsets[n].items():
+            for (i, j), v in f.expanded_matrix(d).entries.items():
+                entries[(offsets[n - 1][d] + i, col_base + j)] = v
+        diffs[n] = Matrix(gc.algebra.field, len(labels[n - 1]), len(labels[n]), entries)
+    return ChainComplex(gc.algebra.field, labels, diffs)
+
+
+# the algebras of the graded canonical hash: (variables, relations, resolution length)
+CANONICAL_ALGEBRAS = (
+    (2, ["x^2", "x*y", "y^2"], 4),
+    (3, ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], 2),
+    (3, ["x^2", "y^2", "z^2"], 3),
+)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), F101), ids=str)
+def test_module_maps_are_their_columns(field, monkeypatch):
+    for nvars, relations, length in CANONICAL_ALGEBRAS:
+        algebra = build_quotient_algebra(field, nvars, relations, names="xyz"[:nvars])
+        res = minimal_free_resolution(algebra, length)
+        kos = koszul_complex(algebra)
+        both = tensor_complex(res, kos)
+        for gc in (res, kos, both):
+            for f in gc.maps.values():
+                entries = f.entries
+                assert entries is not f.entries and entries == f.entries
+                for b, column in enumerate(f.columns):
+                    assert column == [(a, poly) for (a, b2), poly in entries.items() if b2 == b]
+            # equal chain complexes have equal labels and differentials
+            expanded = expand(gc)
+            assert expanded == expand_by_degree(gc)
+        with monkeypatch.context() as m:
+
+            def refuse(self, d):
+                raise AssertionError("expand went through expanded_matrix")
+
+            m.setattr(GradedModuleMap, "expanded_matrix", refuse)
+            assert expand(both) == expanded
 
 
 def test_tensor_complex_dimensions():

@@ -6,9 +6,13 @@ WORKLOAD is a workload of perfbench/workloads.py or `graded-scale`: the F101
 complete intersections of three random squared linear forms in x, y, z, at
 resolution lengths 4 and 5 and factors 0 and 1, run through `cli.run` with
 the graded-cli queries and made by each tree's own
-`workloads.graded_relations` and `graded_scenario`.  On `graded-scale` the
-two trees' exit codes and stdout bytes are compared in every round, and a
-difference stops the run with an error.
+`workloads.graded_relations` and `graded_scenario`.  In every round, each
+instance's record is passed through its tree's workload `compact`, which
+checks what needs the full record (on random-sweep, d o d = 0 on the page
+maps, which it then drops) and keeps what the oracle would check.  A problem
+that `compact` reports, or a difference between the two trees' compacted
+records (on graded-scale, the exit code and stdout bytes), stops the run
+with an error, so the timings are only ever of equal answers.
 
 Each tree's src/specseq and perfbench/workloads.py (with its oracle.py)
 are imported under their own names and then taken out of sys.modules
@@ -57,7 +61,10 @@ class GradedScale:
 
     def run(self, text):
         out = io.StringIO()
-        return self.workloads.cli.run(text, out=out), out.getvalue()
+        return (self.workloads.cli.run(text, out=out), out.getvalue()), None
+
+    def compact(self, text, record):
+        return [], record
 
 
 def load_workload(tree, name):
@@ -87,11 +94,18 @@ def load_workload(tree, name):
 
 def round_cpu(workload, inputs):
     """Process CPU seconds of one round of the workload's instances, and
-    what the instances returned."""
+    their compacted records; a problem `compact` finds stops the run."""
     gc.collect()
     start = time.process_time()
-    records = [workload.run(spec) for spec in inputs]
-    return time.process_time() - start, records
+    results = [workload.run(spec) for spec in inputs]
+    seconds = time.process_time() - start
+    records = []
+    for i, (spec, (record, _)) in enumerate(zip(inputs, results)):
+        problems, kept = workload.compact(spec, record)
+        if problems:
+            raise SystemExit(f"error: instance {i}: " + "; ".join(problems))
+        records.append(kept)
+    return seconds, records
 
 
 def summary(times):
@@ -125,11 +139,8 @@ def main(argv=None):
             seconds, records[side] = round_cpu(*sides[side])
             times[side].append(seconds)
         for i, (a, b) in enumerate(zip(*records)):
-            if args.workload == SCALE and a != b:
-                raise SystemExit(
-                    f"error: round {k + 1}, scenario {i}: exit codes {a[0]} and {b[0]}, "
-                    f"stdout {'equal' if a[1] == b[1] else 'different'}"
-                )
+            if a != b:
+                raise SystemExit(f"error: round {k + 1}, instance {i}: the trees' answers differ")
     (a, a_q), (b, b_q) = (summary(t) for t in times)
     wins = sum(tb < ta for ta, tb in zip(*times))
     print(

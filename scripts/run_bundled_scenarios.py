@@ -2,6 +2,10 @@
 
 Usage: python3 scripts/run_bundled_scenarios.py [--update]
 
+The bundled scenarios are the .scn files in scenarios/ and in
+scenarios/scale/.  The scale ones take about a second each, so the tests,
+the fuzzer and scripts/canonical_dump.py read only those in scenarios/.
+
 With --update the recorded .expected files are rewritten from the current
 run instead of being compared.
 """
@@ -23,28 +27,29 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     failures = 0
-    for scn in sorted(SCENARIO_DIR.glob("*.scn")):
+    for scn in sorted(SCENARIO_DIR.rglob("*.scn")):
+        name = scn.relative_to(SCENARIO_DIR)
         buf = io.StringIO()
         code = cli.run(scn.read_text(), out=buf)
         got = buf.getvalue()
         expected_path = scn.with_suffix(".expected")
         if code != 0:
-            print(f"{scn.name}: exit {code}")
+            print(f"{name}: exit {code}")
             failures += 1
             continue
         if args.update:
             expected_path.write_text(got)
-            print(f"{scn.name}: recorded {len(got.splitlines())} lines")
+            print(f"{name}: recorded {len(got.splitlines())} lines")
             continue
         if not expected_path.exists():
-            print(f"{scn.name}: no recorded output, run with --update")
+            print(f"{name}: no recorded output, run with --update")
             failures += 1
             continue
         if got != expected_path.read_text():
-            print(f"{scn.name}: MISMATCH against {expected_path.name}")
+            print(f"{name}: MISMATCH against {expected_path.name}")
             failures += 1
         else:
-            print(f"{scn.name}: ok ({len(got.splitlines())} lines)")
+            print(f"{name}: ok ({len(got.splitlines())} lines)")
     return 1 if failures else 0
 
 

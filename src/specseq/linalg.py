@@ -365,13 +365,6 @@ def _reduce_columns(cols, p, piv=None):
     return piv
 
 
-def _prefix_ranks(stages, p, piv):
-    """Ranks of the pivot table piv's columns and the first k stages of
-    columns together, k = 1, 2, ...: piv is continued in place, and each
-    stage goes in sparsest first, to limit fill."""
-    return [len(_reduce_columns(sorted(cols, key=len), p, piv)) for cols in stages]
-
-
 def _py_rcef(cols, p):
     """Reduced column echelon form of sparse columns of raw scalars.
 

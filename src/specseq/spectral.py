@@ -50,24 +50,65 @@ its target, with no memo and no induced map.  A Page or PageMap holds the
 filtration window and raises KeyError outside it; SpectralSequence.entry
 answers every position.
 
-`limit_comparison` reads gr_p H_n off ranks.  Write F_p = layer(p, n) and
-B = im d_{n+1}, inside ker d_n: d_n maps F_p + B onto d_n F_p with kernel
-(ker d_n cap F_p) + B, so dim((ker d_n cap F_p) + B) = dim(F_p + B) -
-rank(d_n on F_p), whose step from p - 1 to p is gr_p H_n.  Per degree, one
-pivot table spanning B is fed each layer's fresh basis columns
-(FilteredComplex.fresh_columns, whose columns up to layer p span F_p),
-another their d_n-images, and each rank is read after each layer.  The
-degrees go downward: the fresh columns of all layers span the term, as the
-top layer is full, so the second table of degree n + 1 spans im d_{n+1} and
-is the first table of degree n, and no boundary matrix is reduced twice.  So
-the comparison shares only _reduce_columns, Matrix.apply_all and the layer
-bases with the pages: no _cut, kernel or back-substitution.  The memo
+`limit_comparison` reads gr_p H_n off one persistence reduction per degree
+(Edelsbrunner, Letscher and Zomorodian), with clearing (Chen and Kerber).
+The fresh columns of degree n's layers (FilteredComplex.fresh_columns), in
+level order f_0, ..., f_{m-1}, are a basis adapted to the filtration: layer
+p is the span of the first dim F_p of them, and the top layer is full.  Each
+f_k is 1 at its pivot row, its first row, so writing a vector in that basis
+is a forward substitution, and on a coordinate layer only a relabelling.
+Coordinate k is held at row m - 1 - k, so that _reduce_columns' first-row
+pivot is the persistence "low".  The columns d_n f_j, in degree n - 1's
+adapted basis, are reduced level by level into one pivot table, whose size
+after level p is rank(d_n on F_p).  The degrees go downward, so degree
+n + 1's table is complete: its pivots number dim B for B = im d_{n+1}, its
+lows at level <= p number dim(F_p cap B), and a column f_j whose index is
+such a low is skipped, as a boundary with low j makes d_n f_j a combination
+of earlier columns.  Then dim((ker d_n cap F_p) + B) = dim F_p + dim B -
+dim(F_p cap B) - rank(d_n on F_p), whose step from p - 1 to p is gr_p H_n.
+So the comparison shares only _reduce_columns, the sparse updates and the
+layer bases with the pages: no _cut, kernel or back-substitution.  The memo
 tables take no lock; dict.setdefault, atomic under the GIL, keeps the first
 value stored.
 """
 
 from .errors import ComparisonFailure, NotASubspace
-from .linalg import Matrix, Subspace, _cut, _prefix_ranks, induced_map, quotient
+from .linalg import Matrix, Subspace, _add_multiple, _cut, _reduce_columns
+from .linalg import induced_map, quotient
+
+
+def _adapted_coordinates(levels, p):
+    """The map from a vector {row: scalar} of a term to its coordinates in the
+    basis f_0, ..., f_{m-1} of the term's fresh columns, given by level, with
+    coordinate k at row m - 1 - k.  It may edit the vector in place.
+
+    Each f_k is 1 at its pivot row, its first row, and every row is some
+    f_k's pivot: taking off multiples of the f's in increasing pivot order
+    leaves the coefficients at the pivots.  Only the f's with rows besides
+    their pivot change other entries, so only they are taken off.
+    """
+    columns = [f for level in levels for f in level]
+    last = len(columns) - 1
+    slot, tailed = {}, {}
+    for k, f in enumerate(columns):
+        i = min(f)
+        slot[i] = last - k
+        if len(f) > 1:
+            tailed[i] = f
+
+    def coordinates(y):
+        if tailed:
+            found = {}
+            hits = tailed.keys() & y.keys()
+            while hits:
+                i = min(hits)
+                c = found[i] = y[i]
+                _add_multiple(y, -c, tailed[i], p)
+                hits = tailed.keys() & y.keys()
+            y.update(found)
+        return {slot[i]: v for i, v in y.items()}
+
+    return coordinates
 
 
 class Page:
@@ -253,27 +294,35 @@ class SpectralSequence:
     def limit_comparison(self, strict=True):
         """Check dim E^inf(p, n - p) against graded homology of the ambient.
 
-        gr_p H_n comes from two staged rank counts (see the module docstring).
+        gr_p H_n comes from one column reduction per degree, in the bases
+        adapted to the filtration, walking the degrees downward and skipping
+        the columns the degree above has settled (see the module docstring).
         """
         fc = self.source
         amb = fc.ambient
         char = amb.field.characteristic
         inf = self.infinity_page()
         rows = []
-        # a pivot table spanning B = im d_{n+1}: empty above the top degree
-        bounds = {}
-        for n in reversed(amb.degrees()):
-            # copies: the engine edits them in place, after apply_all reads them
-            fresh = [[dict(c) for c in cols] for cols in fc.fresh_columns(n)]
-            images = [amb.diff(n).apply_all(cols) for cols in fresh]
-            spans = _prefix_ranks(fresh, char, bounds)
-            # the images of all fresh columns span im d_n, degree n - 1's B
-            bounds = {}
-            # dim(ker d_n cap F_p + B) for p from p_min - 1 to p_max
-            cut = [s - r for s, r in zip(spans, _prefix_ranks(images, char, bounds))]
+        degrees = amb.degrees()
+        # degree n + 1's pivot table, spanning B = im d_{n+1}: empty above the top
+        above = {}
+        below = fc.fresh_columns(degrees[-1]) if degrees else ()
+        for n in reversed(degrees):
+            levels, below = below, fc.fresh_columns(n - 1) if n - 1 in degrees else ()
+            coordinates = _adapted_coordinates(below, char)
+            d, last = amb.diff(n), amb.dim(n) - 1
+            # dim((ker d_n cap F_p) + B) for p from p_min - 1 to p_max
+            table, cut, size, lows = {}, [], 0, 0
+            for level in levels:
+                # a low j of the table above: d_n f_j depends on earlier columns
+                kept = [f for j, f in enumerate(level, size) if last - j not in above]
+                size, lows = size + len(level), lows + len(level) - len(kept)
+                _reduce_columns(list(map(coordinates, d.apply_all(kept))), char, table)
+                cut.append(size + len(above) - lows - len(table))
             for p, lower, upper in zip(fc.p_range, cut, cut[1:]):
                 einf, gr = inf.entry(p, n - p).dim, upper - lower
                 rows.append((n, p, einf, gr, einf == gr))
+            above = table
         # the rows in ascending degree
         report = LimitReport(sorted(rows))
         if strict and not report.ok:

@@ -17,6 +17,7 @@ from specseq.filtration import (
     from_simplicial,
     hom_filtration,
     tensor_filtration,
+    truncation_filtration,
 )
 from specseq.linalg import (
     Matrix,
@@ -534,6 +535,81 @@ def test_limit_comparison_reduces_each_boundary_once(field, monkeypatch):
         rows = SpectralSequence(fc).limit_comparison().rows
         assert [(n, p, gr) for n, p, _, gr, _ in rows] == want
         assert [row[:2] for row in rows] == sorted(row[:2] for row in rows)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_limit_comparison_clears_and_reduces_each_column_once(field, monkeypatch):
+    # one column reduction per degree in the filtration-adapted bases: a
+    # fresh column whose index is a low of the degree above is skipped, so
+    # degree n hands the engine at most dim C_n - rank d_{n+1} columns
+    cases = []
+    for seed in range(8):
+        rng = random.Random(f"clearing:{seed}")
+        fc, _ = random_filtered_complex(field, rng)
+        cases += [fc, change_of_basis(fc, rng)]
+    sequences, bounds, wanted = [], [], []
+    for fc in cases:
+        amb = fc.ambient
+        bounds.append(sum(amb.dim(n) - rank(amb.diff(n + 1)) for n in amb.degrees()))
+        wanted.append(reference_graded_homology(fc))
+        ss = SpectralSequence(fc)
+        ss.infinity_page()
+        sequences.append(ss)
+    handed = []
+
+    def counting(real):
+        def reduce_columns(cols, p, piv=None):
+            cols = list(cols)
+            handed.append(len(cols))
+            return real(cols, p, piv)
+
+        return reduce_columns
+
+    for module in (linalg, spectral):
+        if hasattr(module, "_reduce_columns"):
+            monkeypatch.setattr(module, "_reduce_columns", counting(module._reduce_columns))
+    assert not hasattr(linalg, "_prefix_ranks")
+    for ss, bound, want in zip(sequences, bounds, wanted):
+        handed.clear()
+        rows = ss.limit_comparison().rows
+        assert 1 <= sum(handed) <= bound
+        assert [(n, p, gr) for n, p, _, gr, _ in rows] == want
+
+
+def edge_shapes(field):
+    """Filtrations at the edges of the comparison's index bookkeeping."""
+    zero = ChainComplex(field, {})
+    one_degree = ChainComplex(field, {2: ("a", "b", "c")})
+    # d_2(a) = e + f, d_1(e) = x - y = -d_1(f), d_1(g) = 0: H_0 and H_1 are k
+    labels = {0: ("x", "y"), 1: ("e", "f", "g"), 2: ("a",)}
+    d1 = Matrix(field, 2, 3, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+    d2 = Matrix(field, 3, 1, {(0, 0): 1, (1, 0): 1})
+    full = ChainComplex(field, labels, {1: d1, 2: d2})
+    # d_1 = 0 between nonzero terms, d_2 onto C_1
+    d2 = Matrix(field, 1, 2, {(0, 1): 1})
+    gap = ChainComplex(field, {0: ("x",), 1: ("e",), 2: ("a", "b")}, {2: d2})
+    return {
+        "zero complex": truncation_filtration(zero),
+        "one degree": from_basis_levels(one_degree, {2: [1, 0, 1]}),
+        "one-level window": from_basis_levels(full, {0: [4, 4], 1: [4, 4, 4], 2: [4]}),
+        "degree at one level": from_basis_levels(full, {0: [0, 0], 1: [1, 2, 0], 2: [2]}),
+        "repeated layers": from_basis_levels(full, {0: [0, 3], 1: [3, 3, 1], 2: [3]}),
+        "zero differential": from_basis_levels(gap, {0: [1], 1: [0], 2: [2, 0]}),
+    }
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_limit_comparison_on_edge_shapes(field):
+    rng = random.Random(f"edges:{field}")
+    shapes = edge_shapes(field)
+    repeated = shapes["repeated layers"]
+    assert repeated.layer(0, 0) is repeated.layer(1, 0) is repeated.layer(2, 0)
+    assert repeated.layer(1, 1) is repeated.layer(2, 1)
+    assert shapes["one-level window"].p_min == shapes["one-level window"].p_max
+    for name, fc in shapes.items():
+        for case in (fc, change_of_basis(fc, rng)):
+            rows = SpectralSequence(case).limit_comparison().rows
+            assert [(n, p, gr) for n, p, _, gr, _ in rows] == reference_graded_homology(case), name
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

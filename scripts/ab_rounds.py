@@ -23,12 +23,15 @@ alternate, A B, B A, A B, ..., each timed in process CPU time.  Comparing
 inside one process takes out most of the spread between fresh processes,
 which is wider than the few-percent effects a change to the library usually
 has.  Prints each tree's median round with its first and third quartiles,
-the ratio B/A and the number of rounds in which B was lower.
+the ratio B/A and the number of rounds in which B was lower.  A second line
+gives the same for each round's time to the first page: the sum over its
+instances of the wall-clock seconds from an instance's start to the time its
+`run` returns as the E^1 page's completion (the instance's end where it
+returns none).
 """
 
 import argparse
 import gc
-import io
 import random
 import statistics
 import sys
@@ -60,15 +63,16 @@ class GradedScale:
         return [self.workloads.graded_scenario(2, relations, 2, 0)]
 
     def run(self, text):
-        out = io.StringIO()
-        return (self.workloads.cli.run(text, out=out), out.getvalue()), None
+        out = self.workloads.FirstWriteBuffer()
+        return (self.workloads.cli.run(text, out=out), out.getvalue()), out.first
 
     def compact(self, text, record):
         return [], record
 
 
 def load_workload(tree, name):
-    """The workload `name` of tree's perfbench, on tree's own specseq."""
+    """The workload `name` of tree's perfbench, on tree's own specseq, and
+    that perfbench's clock."""
     tree = Path(tree).resolve()
     if not (tree / "src" / "specseq" / "__init__.py").is_file():
         raise SystemExit(f"error: no specseq package under {tree / 'src'}")
@@ -86,26 +90,34 @@ def load_workload(tree, name):
         del sys.path[: len(paths)]
         detach()
     if name == SCALE:
-        return GradedScale(workloads)
+        return GradedScale(workloads), workloads.clock
     if name not in workloads.WORKLOADS:
         raise SystemExit(f"error: no workload {name!r} in {tree}")
-    return workloads.WORKLOADS[name]
+    return workloads.WORKLOADS[name], workloads.clock
 
 
-def round_cpu(workload, inputs):
-    """Process CPU seconds of one round of the workload's instances, and
-    their compacted records; a problem `compact` finds stops the run."""
+def timed_run(workload, clock, spec):
+    """One instance's record and its seconds to the first page."""
+    start = clock()
+    record, first = workload.run(spec)
+    return record, (clock() if first is None else first) - start
+
+
+def round_cpu(workload, inputs, clock):
+    """Process CPU seconds of one round of the workload's instances, their
+    summed seconds to the first page, and their compacted records; a problem
+    `compact` finds stops the run."""
     gc.collect()
     start = time.process_time()
-    results = [workload.run(spec) for spec in inputs]
+    timed = [timed_run(workload, clock, spec) for spec in inputs]
     seconds = time.process_time() - start
     records = []
-    for i, (spec, (record, _)) in enumerate(zip(inputs, results)):
+    for i, (spec, (record, _)) in enumerate(zip(inputs, timed)):
         problems, kept = workload.compact(spec, record)
         if problems:
             raise SystemExit(f"error: instance {i}: " + "; ".join(problems))
         records.append(kept)
-    return seconds, records
+    return seconds, sum(first for _, first in timed), records
 
 
 def summary(times):
@@ -113,6 +125,16 @@ def summary(times):
     # one round has no spread: both quartiles are that round
     q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
     return statistics.median(times), f"{q1:.4f}, {q3:.4f}"
+
+
+def comparison(times):
+    """Each side's median [quartiles], the ratio B/A and B's lower rounds."""
+    (a, a_q), (b, b_q) = (summary(t) for t in times)
+    wins = sum(tb < ta for ta, tb in zip(*times))
+    return (
+        f"A {a:.4f} [{a_q}] s, B {b:.4f} [{b_q}] s, B/A {b / a:.3f}, "
+        f"B lower in {wins} of {len(times[0])}"
+    )
 
 
 def main(argv=None):
@@ -127,27 +149,26 @@ def main(argv=None):
         parser.error("--rounds must be at least 1")
     sides = []
     for tree in (args.tree_a, args.tree_b):
-        workload = load_workload(tree, args.workload)
+        workload, clock = load_workload(tree, args.workload)
         inputs = workload.make_inputs(args.seed)
         for spec in workload.warm_up(inputs):
             workload.run(spec)
-        sides.append((workload, inputs))
-    times = ([], [])
+        sides.append((workload, inputs, clock))
+    times, first_pages = ([], []), ([], [])
     for k in range(args.rounds):
         records = [None, None]
         for side in (0, 1) if k % 2 == 0 else (1, 0):
-            seconds, records[side] = round_cpu(*sides[side])
+            seconds, first_page, records[side] = round_cpu(*sides[side])
             times[side].append(seconds)
+            first_pages[side].append(first_page)
         for i, (a, b) in enumerate(zip(*records)):
             if a != b:
                 raise SystemExit(f"error: round {k + 1}, instance {i}: the trees' answers differ")
-    (a, a_q), (b, b_q) = (summary(t) for t in times)
-    wins = sum(tb < ta for ta, tb in zip(*times))
     print(
         f"{args.workload} seed {args.seed}, {args.rounds} rounds, median CPU "
-        f"[quartiles]: A {a:.4f} [{a_q}] s, B {b:.4f} [{b_q}] s, B/A {b / a:.3f}, "
-        f"B lower in {wins} of {args.rounds}"
+        f"[quartiles]: {comparison(times)}"
     )
+    print(f"  first page, summed wall-clock per round: {comparison(first_pages)}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
 """Randomized invariant sweep over generated filtered complexes.
 
-For each instance the script checks that the filtration validates and
-that the spectral sequence keeps the invariants of `invariant_problem`,
-which tests/test_acceptance.py checks too.  It checks each instance twice:
-as generated, with coordinate layers, and moved by a random unitriangular
-change of basis (`change_of_basis` in tests/test_spectral.py), whose layers
-are in general not spanned by basis vectors.
+For each instance the script checks that the filtration validates, that
+the spectral sequence keeps the invariants of `invariant_problem`, which
+tests/test_acceptance.py checks too, and that every page's dimensions and
+the limit comparison's gr_p H_n agree with perfbench/oracle.py's barcode,
+which shares no code with specseq.  The pages and the comparison read the
+same persistence reductions, so the comparison alone cannot vouch for them.
+It checks each instance twice: as generated, with coordinate layers, and
+moved by a random unitriangular change of basis (`change_of_basis` in
+tests/test_spectral.py), whose layers are in general not spanned by basis
+vectors; dimensions do not depend on the basis, so one barcode serves both.
 
 Usage: python3 scripts/property_sweep.py --instances 200 --seed 7 --field F101
 (imports tests/test_spectral.py, so pytest must be importable)
@@ -25,7 +29,7 @@ from specseq.randomized import random_filtered_complex
 from specseq.spectral import SpectralSequence
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
-from test_spectral import change_of_basis  # noqa: E402
+from test_spectral import change_of_basis, level_barcode  # noqa: E402
 
 
 def field_argument(token):
@@ -63,16 +67,30 @@ def invariant_problem(ss):
     return None
 
 
+def oracle_problem(ss, bars):
+    """The first page or gr_p H_n dimension of ss that disagrees with the
+    barcode bars, as a message, or None."""
+    for r in range(1, ss.r_star + 1):
+        if ss.page(r).dims() != bars.page_dims(r):
+            return f"page {r} disagrees with the barcode oracle"
+    for n, p, _, gr, _ in ss.limit_comparison(strict=False).rows:
+        if gr != bars.graded_homology(n, p):
+            return f"gr_{p} H_{n} disagrees with the barcode oracle"
+    return None
+
+
 def check_instance(field, rng, top_degree, max_dim, max_width):
-    fc, _ = random_filtered_complex(
+    fc, levels = random_filtered_complex(
         field, rng, top_degree=top_degree, max_dim=max_dim, max_width=max_width
     )
     fc.validate()
-    problem = invariant_problem(SpectralSequence(fc))
-    if problem is not None:
-        return problem
-    problem = invariant_problem(SpectralSequence(change_of_basis(fc, rng)))
-    return None if problem is None else f"moved: {problem}"
+    bars = level_barcode(fc, levels)
+    for label, case in (("", fc), ("moved: ", change_of_basis(fc, rng))):
+        ss = SpectralSequence(case)
+        problem = invariant_problem(ss) or oracle_problem(ss, bars)
+        if problem is not None:
+            return label + problem
+    return None
 
 
 def main(argv=None):

@@ -21,7 +21,9 @@ from .simplicial import _face_positions, reduced_chain_complex
 
 
 class FilteredComplex:
-    __slots__ = ("ambient", "p_min", "p_max", "_table", "_first", "_outside", "_first_outside")
+    __slots__ = (
+        "ambient", "p_min", "p_max", "_table", "_first", "_outside", "_first_outside", "_fresh"
+    )
 
     def __init__(self, ambient, layers):
         self.ambient = ambient
@@ -58,6 +60,7 @@ class FilteredComplex:
                     least.append(self.p_min - 1 + k)
             self._first[n] = tuple(least)
         self._table = {n: tuple(column) for n, column in table.items()}
+        self._fresh = {}
         self.validate()
 
     @property
@@ -73,10 +76,15 @@ class FilteredComplex:
         """For each layer p_min - 1, ..., p_max of a degree n of the ambient,
         its basis columns whose pivot row is no pivot of the layer below: the
         representatives of its quotient by that layer.  Pivot rows grow with
-        the layers, so the fresh columns of the layers up to p span layer p."""
-        column = self._table[n]
-        quotients = map(QuotientPresentation, column[1:], column)
-        return [column[0].basis_columns, *(q.rep_columns for q in quotients)]
+        the layers, so the fresh columns of the layers up to p span layer p.
+        Layers never change, so each degree's tuple is computed once."""
+        fresh = self._fresh.get(n)
+        if fresh is None:
+            column = self._table[n]
+            quotients = map(QuotientPresentation, column[1:], column)
+            fresh = (column[0].basis_columns, *(q.rep_columns for q in quotients))
+            fresh = self._fresh.setdefault(n, fresh)
+        return fresh
 
     def validate(self):
         for n, column in self._table.items():

@@ -355,23 +355,29 @@ def test_generic_cycles_on_non_coordinate_layers(field):
     assert fractions == (field is QQ)
 
 
+def level_barcode(fc, levels):
+    """The barcode oracle's bars of a coordinate filtration, given the level
+    of each basis vector as random_filtered_complex returns them."""
+    amb = fc.ambient
+    index, cells = {}, []
+    for n in amb.degrees():
+        for k in range(amb.dim(n)):
+            index[(n, k)] = len(cells)
+            cells.append(Cell(n, levels[n][k]))
+    boundary = [{} for _ in cells]
+    for n in amb.degrees():
+        for (i, j), v in amb.diff(n).entries.items():
+            boundary[index[(n, j)]][index[(n - 1, i)]] = v
+    return Barcode(cells, boundary, amb.field.characteristic or None)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_pages_and_limit_match_barcode_oracle(field):
     # the barcode oracle shares no code with linalg or spectral, so it checks
-    # the cycle spaces and the limit comparison that both go through _cut
+    # the cycle spaces, the persistence reductions and the limit comparison
     for seed in range(25):
         fc, levels = random_filtered_complex(field, random.Random(f"oracle:{seed}"))
-        amb = fc.ambient
-        index, cells = {}, []
-        for n in amb.degrees():
-            for k in range(amb.dim(n)):
-                index[(n, k)] = len(cells)
-                cells.append(Cell(n, levels[n][k]))
-        boundary = [{} for _ in cells]
-        for n in amb.degrees():
-            for (i, j), v in amb.diff(n).entries.items():
-                boundary[index[(n, j)]][index[(n - 1, i)]] = v
-        bars = Barcode(cells, boundary, field.characteristic or None)
+        bars = level_barcode(fc, levels)
         ss = SpectralSequence(fc)
         assert ss.r_star == bars.r_star
         for r in range(1, ss.r_star + 1):
@@ -539,41 +545,41 @@ def test_limit_comparison_reduces_each_boundary_once(field, monkeypatch):
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_limit_comparison_clears_and_reduces_each_column_once(field, monkeypatch):
-    # one column reduction per degree in the filtration-adapted bases: a
-    # fresh column whose index is a low of the degree above is skipped, so
-    # degree n hands the engine at most dim C_n - rank d_{n+1} columns
+    # one column reduction per degree in the filtration-adapted bases, shared
+    # by the entries and the comparison: a fresh column whose index is a low
+    # of the degree above is skipped, so the infinity page and the comparison
+    # together hand the engine at most dim C_n - rank d_{n+1} columns of
+    # degree n, and a second comparison hands it none
     cases = []
     for seed in range(8):
         rng = random.Random(f"clearing:{seed}")
         fc, _ = random_filtered_complex(field, rng)
         cases += [fc, change_of_basis(fc, rng)]
-    sequences, bounds, wanted = [], [], []
+    bounds, wanted = [], []
     for fc in cases:
         amb = fc.ambient
         bounds.append(sum(amb.dim(n) - rank(amb.diff(n + 1)) for n in amb.degrees()))
         wanted.append(reference_graded_homology(fc))
+    handed = []
+    real = spectral._reduce_columns
+
+    def counting(cols, p, piv=None):
+        cols = list(cols)
+        handed.append(len(cols))
+        return real(cols, p, piv)
+
+    monkeypatch.setattr(spectral, "_reduce_columns", counting)
+    assert not hasattr(linalg, "_prefix_ranks")
+    for fc, bound, want in zip(cases, bounds, wanted):
+        handed.clear()
         ss = SpectralSequence(fc)
         ss.infinity_page()
-        sequences.append(ss)
-    handed = []
-
-    def counting(real):
-        def reduce_columns(cols, p, piv=None):
-            cols = list(cols)
-            handed.append(len(cols))
-            return real(cols, p, piv)
-
-        return reduce_columns
-
-    for module in (linalg, spectral):
-        if hasattr(module, "_reduce_columns"):
-            monkeypatch.setattr(module, "_reduce_columns", counting(module._reduce_columns))
-    assert not hasattr(linalg, "_prefix_ranks")
-    for ss, bound, want in zip(sequences, bounds, wanted):
-        handed.clear()
         rows = ss.limit_comparison().rows
         assert 1 <= sum(handed) <= bound
         assert [(n, p, gr) for n, p, _, gr, _ in rows] == want
+        handed.clear()
+        ss.limit_comparison()
+        assert not handed
 
 
 def edge_shapes(field):
@@ -615,8 +621,9 @@ def test_limit_comparison_on_edge_shapes(field):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_zero_entries_eliminate_nothing_and_keep_their_check(field, monkeypatch):
     # where Z^{r-1}(p-1) == Z^r(p) the denominator is the numerator: the
-    # entry runs no elimination, and an arriving vector outside Z^r(p),
-    # put into the memo under the arriving key, is still refused
+    # entry runs no elimination, whether it pushes a layer's fresh columns or
+    # reads the reductions, and an arriving vector outside Z^r(p), forged into
+    # the reduction of d_{n+1} that the entry reads, is still refused
     calls = []
     real = linalg._py_rcef
     monkeypatch.setattr(linalg, "_py_rcef", lambda cols, p: calls.append(p) or real(cols, p))
@@ -625,38 +632,103 @@ def test_zero_entries_eliminate_nothing_and_keep_their_check(field, monkeypatch)
         rng = random.Random(f"zero-entry:{seed}")
         fc, _ = random_filtered_complex(field, rng)
         for case in (fc, change_of_basis(fc, rng)):
-            ss, amb = SpectralSequence(case), case.ambient
-            for r in range(1, ss.r_star + 1):
+            amb = case.ambient
+            fresh, compared = SpectralSequence(case), SpectralSequence(case)
+            compared.limit_comparison()
+            for r in range(1, fresh.r_star + 1):
                 for p in case.p_range:
                     for n in amb.degrees():
-                        key = hi, lo, below, above, _ = ss._key(r, p, n)
-                        num, den = ss._cycles_at(hi, lo, n), ss._cycles_at(below, lo, n)
-                        lifts = ss._cycles_at(above, hi, n + 1).basis_columns
+                        key = hi, lo, below, above, _ = fresh._key(r, p, n)
+                        for ss in (fresh, compared):
+                            num, den = ss._cycles_at(hi, lo, n), ss._cycles_at(below, lo, n)
                         if den != num:
                             continue
+                        # the arriving vectors as defined: d of the lift cycle space
                         d = amb.diff(n + 1)
-                        pushed = [y for y in d.apply_all(lifts) if y]
-                        calls.clear()
-                        got = ss._compute_entry(key)
-                        assert not calls
-                        # the denominator the general route eliminates
+                        lifts = linalg._cut(case.layer(above, n + 1), d, case.layer(hi, n))
+                        pushed = [y for y in d.apply_all(lifts.basis_columns) if y]
                         spanned = Subspace.spanned_by_columns(
                             field, num.ambient_dim, num.basis_columns + tuple(pushed)
                         )
-                        assert got == quotient(num, spanned) and got.dim == 0
+                        for ss in (fresh, compared):
+                            calls.clear()
+                            got = ss._compute_entry(key)
+                            assert not calls
+                            assert got == quotient(num, spanned) and got.dim == 0
                         zero += 1
                         arriving += bool(pushed)
-                        # a space at the arriving key whose d-image leaves Z^r(p)
-                        full = Subspace.full(field, amb.dim(n + 1))
-                        images = d.apply_all(full.basis_columns)
-                        if above == hi or all(map(num.contains_vector, images)):
+                        # a reduced column of d_{n+1} the entry selects, outside Z^r(p)
+                        units = ({i: 1} for i in range(amb.dim(n)))
+                        outside = next((u for u in units if not num.contains_vector(u)), None)
+                        if below == hi or outside is None or n == amb.hi:
                             continue
                         forged = SpectralSequence(case)
-                        forged._cycles[(above, hi, n + 1)] = full
+                        forged._reductions[n + 1] = {0: (above, hi, outside)}
                         with pytest.raises(NotASubspace):
                             forged.entry(r, p, n - p)
                         refused += 1
     assert zero and arriving and refused
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_entries_reading_the_reductions_eliminate_no_dependent_vector(field, monkeypatch):
+    # once the comparison has built the reductions, an entry's arriving
+    # vectors are reduced columns of d_{n+1} whose lows lie above
+    # Z^{r-1}(p-1): independent modulo it, so the denominator's one
+    # elimination gets exactly dim(den) columns, dim(den) - dim Z^{r-1}(p-1)
+    # of them arriving
+    handed = []
+    real = Subspace.spanned_by_columns.__func__
+
+    def counting(cls, field, ambient_dim, columns):
+        handed.append(len(columns))
+        return real(cls, field, ambient_dim, columns)
+
+    monkeypatch.setattr(Subspace, "spanned_by_columns", classmethod(counting))
+    eliminated = 0
+    for seed in range(8):
+        rng = random.Random(f"arriving:{seed}")
+        fc, _ = random_filtered_complex(field, rng)
+        for case in (fc, change_of_basis(fc, rng)):
+            ss = SpectralSequence(case)
+            ss.limit_comparison()
+            r = ss.r_star
+            for p in case.p_range:
+                for n in case.ambient.degrees():
+                    key = hi, lo, below, _, _ = ss._key(r, p, n)
+                    ss._cycles_at(hi, lo, n)
+                    first = ss._cycles_at(below, lo, n)
+                    handed.clear()
+                    got = ss._compute_entry(key)
+                    assert got == ss.entry(r, p, n - p)
+                    if handed:
+                        assert handed == [got.relations.dim]
+                        assert got.relations.dim > first.dim
+                        eliminated += 1
+    assert eliminated
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_first_page_builds_no_reduction(field, monkeypatch):
+    # on pages 0 and 1 every lift space is a whole layer, so each entry
+    # pushes that layer's fresh columns and no persistence reduction starts
+    def forbidden(ss, n):
+        raise AssertionError("a first-page query started a reduction")
+
+    monkeypatch.setattr(SpectralSequence, "_reduce", forbidden)
+    cases = list(edge_shapes(field).values())
+    for seed in range(8):
+        rng = random.Random(f"first-page:{seed}")
+        fc, levels = random_filtered_complex(field, rng)
+        bars = level_barcode(fc, levels)
+        for case in (fc, change_of_basis(fc, rng)):
+            assert SpectralSequence(case).page(1).dims() == bars.page_dims(1)
+            cases.append(case)
+    for case in cases:
+        ss = SpectralSequence(case)
+        ss.page(0)
+        ss.page_map(1)
+        assert not ss._reductions
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

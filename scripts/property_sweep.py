@@ -1,15 +1,18 @@
 """Randomized invariant sweep over generated filtered complexes.
 
-For each instance the script checks that the filtration validates, that
-the spectral sequence keeps the invariants of `invariant_problem`, which
-tests/test_acceptance.py checks too, and that every page's dimensions and
-the limit comparison's gr_p H_n agree with perfbench/oracle.py's barcode,
-which shares no code with specseq.  The pages and the comparison read the
-same persistence reductions, so the comparison alone cannot vouch for them.
+For each instance the script builds a filtration, which validates it, and
+checks that the spectral sequence keeps the invariants of
+`invariant_problem`, which tests/test_acceptance.py checks too, and that
+every page's dimensions and the limit comparison's gr_p H_n agree with
+perfbench/oracle.py's barcode, which shares no code with specseq.  The
+pages and the comparison read the same persistence reductions, so the
+comparison alone cannot vouch for them.
 It checks each instance twice: as generated, with coordinate layers, and
 moved by a random unitriangular change of basis (`change_of_basis` in
 tests/test_spectral.py), whose layers are in general not spanned by basis
 vectors; dimensions do not depend on the basis, so one barcode serves both.
+A specseq error raised on the way, such as a page map that is not well
+defined, is reported as that instance's problem.
 
 Usage: python3 scripts/property_sweep.py --instances 200 --seed 7 --field F101
 (imports tests/test_spectral.py, so pytest must be importable)
@@ -22,7 +25,7 @@ import sys
 import time
 
 from specseq.complexes import homology_rank
-from specseq.errors import ParseError
+from specseq.errors import ParseError, SpecseqError
 from specseq.fields import QQ, parse_field_token
 from specseq.linalg import kernel, rank
 from specseq.randomized import random_filtered_complex
@@ -83,11 +86,13 @@ def check_instance(field, rng, top_degree, max_dim, max_width):
     fc, levels = random_filtered_complex(
         field, rng, top_degree=top_degree, max_dim=max_dim, max_width=max_width
     )
-    fc.validate()
     bars = level_barcode(fc, levels)
     for label, case in (("", fc), ("moved: ", change_of_basis(fc, rng))):
         ss = SpectralSequence(case)
-        problem = invariant_problem(ss) or oracle_problem(ss, bars)
+        try:
+            problem = invariant_problem(ss) or oracle_problem(ss, bars)
+        except SpecseqError as exc:
+            problem = f"{type(exc).__name__}: {exc}"
         if problem is not None:
             return label + problem
     return None

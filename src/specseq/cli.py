@@ -4,8 +4,9 @@ A scenario file names a field, describes one filtered complex, and lists
 queries against its spectral sequence.  Output is plain deterministic text:
 the same scenario and flags always produce byte-identical bytes on stdout.
 
-Exit status: 0 on success, 1 when a comparison or invariant check fails on a
-successfully built object, 2 on unreadable input or malformed scenarios.
+Exit status: 0 on success, 1 when a comparison fails or a page map is not
+well defined on a successfully built filtration, 2 on unreadable input or
+malformed scenarios.
 """
 
 import argparse
@@ -13,12 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .complexes import parse_complex
-from .errors import (
-    ComparisonFailure,
-    NotWellDefined,
-    ParseError,
-    SpecseqError,
-)
+from .errors import NotWellDefined, ParseError, SpecseqError
 from .fields import Field, parse_field_token
 from .filtration import (
     FilteredComplex,
@@ -377,18 +373,14 @@ def run(text, field_override=None, threads=1, machine=False, check=False, out=No
         print(f"build error: {exc}", file=sys.stderr)
         return 2
     if check:
-        try:
-            fc.validate()
-        except (SpecseqError, ValueError) as exc:
-            print(f"check failed: {exc}", file=sys.stderr)
-            return 1
+        # building the filtration validated it
         print("check ok", file=out)
     ss = SpectralSequence(fc)
     code = 0
     try:
         for query in scenario.queries:
             code = max(code, _run_query(ss, query, machine, out))
-    except (ComparisonFailure, NotWellDefined) as exc:
+    except NotWellDefined as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
     return code
@@ -405,7 +397,9 @@ def main(argv=None):
         "--machine", action="store_true", help="machine readable output"
     )
     parser.add_argument(
-        "--check", action="store_true", help="re-validate the built filtration"
+        "--check",
+        action="store_true",
+        help="print 'check ok' once the filtration is built, which validates it",
     )
     args = parser.parse_args(argv)
     try:

@@ -4,13 +4,15 @@ A filtration assigns to each index p in [p_min, p_max] and each degree n a
 subspace of the ambient term, increasing in p, exhaustive at p_max, and
 closed under the differential.  Each degree of the ambient holds one table
 of its layers p_min - 1, ..., p_max, whose first entry is the zero subspace
-(shared with every layer that was not given).  A layer equal to the one
-below it is that same object, and a second table per degree holds, for each
-slot, the least index whose layer is equal: the spectral sequence keys its
-memo tables on those indices, so equal layers share their work.  A query
-outside the window clamps into the table: below it reads the zero entry,
-above it the top layer, which validate checks is the full term.  That keeps
-boundary arithmetic in the spectral sequence uniform.
+(shared with every layer that was not given).  Construction walks each table
+once, bottom up.  A layer equal to the one below it becomes that object, and
+a second table holds, per slot, the least index whose layer is equal: the
+spectral sequence keys its memo tables on those indices, so equal layers
+share their work.  Any other layer must contain the one below it, and a
+third table keeps its fresh columns, its quotient's representatives.  A
+query outside the window clamps into the table: below it reads the zero
+entry, above it the top layer, which validate checks is the full term.  That
+keeps boundary arithmetic in the spectral sequence uniform.
 """
 
 from .complexes import _blocks, _kron, hom_complex, parse_complex, render_complex, tensor
@@ -47,20 +49,25 @@ class FilteredComplex:
                     raise ValueError(f"layer ({p}, {n}) has the wrong ambient dimension")
                 if n in table:
                     table[n][p - self.p_min + 1] = sub
-        # a layer equal to the one below it becomes that object, and _first[n]
-        # holds, per slot, the least index whose layer is equal
-        self._first = {}
+        # one walk per degree shares equal layers, checks nesting and keeps
+        # the fresh columns
+        self._first, self._fresh = {}, {}
         for n, column in table.items():
-            least = [self.p_min - 1]
-            for k in range(1, size):
-                if column[k] == column[k - 1]:
-                    column[k] = column[k - 1]
+            least, fresh = [self.p_min - 1], [()]
+            for k, p in enumerate(self.p_range, 1):
+                low, high = column[k - 1], column[k]
+                if high == low:
+                    column[k] = low
                     least.append(least[-1])
-                else:
-                    least.append(self.p_min - 1 + k)
+                    fresh.append(())
+                    continue
+                if not high.contains(low):
+                    raise NotNested(f"layer ({p - 1}, {n}) not inside layer ({p}, {n})")
+                least.append(p)
+                fresh.append(QuotientPresentation(high, low).rep_columns)
             self._first[n] = tuple(least)
+            self._fresh[n] = tuple(fresh)
         self._table = {n: tuple(column) for n, column in table.items()}
-        self._fresh = {}
         self.validate()
 
     @property
@@ -76,29 +83,21 @@ class FilteredComplex:
         """For each layer p_min - 1, ..., p_max of a degree n of the ambient,
         its basis columns whose pivot row is no pivot of the layer below: the
         representatives of its quotient by that layer.  Pivot rows grow with
-        the layers, so the fresh columns of the layers up to p span layer p.
-        Layers never change, so each degree's tuple is computed once."""
-        fresh = self._fresh.get(n)
-        if fresh is None:
-            column = self._table[n]
-            quotients = map(QuotientPresentation, column[1:], column)
-            fresh = (column[0].basis_columns, *(q.rep_columns for q in quotients))
-            fresh = self._fresh.setdefault(n, fresh)
-        return fresh
+        the layers, so the fresh columns of the layers up to p span layer p."""
+        return self._fresh[n]
 
     def validate(self):
+        """The checks the construction walk does not make: each top layer is
+        the full term, and each layer is closed under the differential."""
         for n, column in self._table.items():
             if not column[-1].is_full:
                 raise ValueError(f"top layer is not the full term in degree {n}")
-            for p, (low, high) in enumerate(zip(column, column[1:]), self.p_min):
-                if not high.contains(low):
-                    raise NotNested(f"layer ({p - 1}, {n}) not inside layer ({p}, {n})")
             d = self.ambient.diff(n)
             if d.is_zero:
                 continue
             # a fresh column closed at its own layer is closed at every layer
             # above it, and the fresh columns up to p span layer p
-            for p, cols in enumerate(self.fresh_columns(n)[1:], self.p_min):
+            for p, cols in enumerate(self._fresh[n][1:], self.p_min):
                 below = self.layer(p, n - 1)
                 if not below.is_full and not all(map(below.contains_vector, d.apply_all(cols))):
                     raise ValueError(f"layer ({p}, {n}) is not closed under the differential")
@@ -121,7 +120,7 @@ class FilteredComplex:
 
 def _nested_filtration(ambient, images, shift=0):
     """Filtration by per-degree subspaces {n: Subspace}, as from_chain_maps;
-    validate raises NotNested unless they are totally ordered by inclusion."""
+    construction raises NotNested unless they are totally ordered by inclusion."""
     degrees = list(ambient.degrees())
     images = sorted(images, key=lambda img: -sum(img[n].dim for n in degrees))
     layers = {}

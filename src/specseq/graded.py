@@ -549,11 +549,13 @@ def minimal_free_resolution(algebra, length_limit):
         diff = GradedModuleMap(new_module, current, entries)
         modules[p] = new_module
         maps[p] = diff
+        current = new_module
+        if p == length_limit:
+            break  # the last map's kernels would be dropped
         ker = {}
         for d in new_module.degree_span():
             if new_module.dimension(d):
                 ker[d] = kernel(diff.expanded_matrix(d))
-        current = new_module
     return GradedComplex(algebra, modules, maps)
 
 

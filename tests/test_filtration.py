@@ -21,6 +21,7 @@ from specseq.filtration import (
 from specseq.linalg import Matrix, Subspace
 from specseq.randomized import random_chain_complex, random_filtered_complex
 from specseq.simplicial import SimplicialComplex, inclusion_map, reduced_chain_complex
+from specseq.spectral import SpectralSequence
 from specseq.text import Lines
 from test_spectral import FIELDS, change_of_basis
 
@@ -75,6 +76,41 @@ def test_fresh_columns_span_the_layers_and_layer_reads_one_table(field):
             outside = case.layer(case.p_max, amb.hi + 1)
             assert outside.ambient_dim == 0
             assert case.layer(case.p_min - 1, amb.lo - 1) is outside
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_construction_takes_each_fresh_quotient_once(field, monkeypatch):
+    # one quotient per unequal adjacent pair of layers, all at construction:
+    # the pages and the comparison read the stored fresh columns
+    calls = []
+    real = filtration.QuotientPresentation
+
+    def counted(high, low):
+        calls.append((high, low))
+        return real(high, low)
+
+    monkeypatch.setattr(filtration, "QuotientPresentation", counted)
+    rng = random.Random(71)
+    for _ in range(8):
+        calls.clear()
+        fc, _ = random_filtered_complex(field, rng, top_degree=3, max_dim=5)
+        cases = [(fc, len(calls))]
+        calls.clear()
+        moved = change_of_basis(fc, rng)
+        cases.append((moved, len(calls)))
+        for case, count in cases:
+            unequal = sum(
+                case.layer(p, n) != case.layer(p - 1, n)
+                for n in case.ambient.degrees()
+                for p in case.p_range
+            )
+            assert count == unequal
+            calls.clear()
+            ss = SpectralSequence(case)
+            ss.page(1)
+            ss.infinity_page()
+            ss.limit_comparison()
+            assert calls == []
 
 
 def test_from_basis_levels_requires_matching_lengths():
